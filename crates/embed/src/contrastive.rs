@@ -78,13 +78,6 @@ pub struct PairConfig {
     /// Section 6.2 analysis reports that raising it is ineffective because
     /// the oracle-mined lists "inevitably contain errors").
     pub hard_weight: f32,
-    /// Examples per optimizer step. Sampling stays sequential (the RNG
-    /// sequence is independent of this value), but each batch is split
-    /// into cost-weighted chunks whose fused gradient kernels run on
-    /// persistent worker threads and merge in fixed chunk order, so
-    /// training is bit-identical at any thread count. `1` reproduces the
-    /// historical per-sample schedule.
-    pub batch_size: usize,
 }
 
 impl Default for PairConfig {
@@ -97,10 +90,16 @@ impl Default for PairConfig {
             hard_per_anchor: 3,
             normal_per_anchor: 2,
             hard_weight: 1.0,
-            batch_size: 8,
         }
     }
 }
+
+/// Examples per optimizer step. Sampling stays sequential (the RNG
+/// sequence is independent of this value), but each batch is split into
+/// cost-weighted chunks whose fused gradient kernels run on persistent
+/// worker threads and merge in fixed chunk order, so training is
+/// bit-identical at any thread count.
+const BATCH_SIZE: usize = 8;
 
 /// One chunk of a batch, shipped to a persistent worker: which chunk it
 /// is, the example range it covers, a shared handle on the batch, and the
@@ -255,8 +254,7 @@ fn train_query(
     rng: &mut UltraRng,
     losses: &mut Vec<f32>,
 ) {
-    let batch_size = pair_cfg.batch_size.max(1);
-    let mut batch: Vec<ContrastiveExample> = Vec::with_capacity(batch_size);
+    let mut batch: Vec<ContrastiveExample> = Vec::with_capacity(BATCH_SIZE);
     let lists: [(&[EntityId], &[EntityId]); 2] = [(&q.l_pos, &q.l_neg), (&q.l_neg, &q.l_pos)];
     for (own, other) in lists {
         if own.is_empty() {
@@ -272,8 +270,8 @@ fn train_query(
                     continue;
                 };
                 batch.push(ex);
-                if batch.len() == batch_size {
-                    let full = std::mem::replace(&mut batch, Vec::with_capacity(batch_size));
+                if batch.len() == BATCH_SIZE {
+                    let full = std::mem::replace(&mut batch, Vec::with_capacity(BATCH_SIZE));
                     losses.push(step_batch(shared, team, wss, full, dim));
                 }
             }
@@ -355,7 +353,7 @@ fn step_batch(
         wss.chunks[done.chunk] = done.ws;
     }
     // Left-fold losses and accumulators in chunk order — the same fixed
-    // reduction the sequential fused step performs.
+    // reduction the per-example reference step performs.
     let mut loss_sum = 0.0f32;
     for &l in &chunk_losses {
         loss_sum += l;

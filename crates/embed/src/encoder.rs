@@ -11,7 +11,7 @@ use ultra_data::World;
 use ultra_nn::{
     infonce_weighted_into, l2_normalize, l2_normalize_backward, l2_normalize_backward_into,
     label_smoothed_ce, Activation, EmbeddingBag, Matrix, Mlp, MlpGrad, MlpT, Sgd, SparseGrad,
-    SparseSink, TrainWorkspace, TrainWorkspaces,
+    SparseSink, TrainWorkspace,
 };
 
 /// One fully sampled contrastive training example: the anchor, positive,
@@ -28,62 +28,6 @@ pub struct ContrastiveExample {
     pub neg_bags: Vec<Vec<TokenId>>,
     /// Per-negative InfoNCE weights (`None` = uniform).
     pub weights: Option<Vec<f32>>,
-}
-
-/// Borrowed view of a contrastive example — the zero-copy twin of
-/// [`ContrastiveExample`] for call sites that already own the bags. The
-/// per-sample ablation path used to clone every bag (anchor, positive,
-/// each negative, the weights) just to enter the batch machinery; this
-/// view routes it through the same fused kernel without a single copy.
-#[derive(Clone, Copy, Debug)]
-pub struct ContrastiveExampleRef<'a> {
-    /// Anchor context bag.
-    pub anchor_bag: &'a [TokenId],
-    /// Positive context bag.
-    pub pos_bag: &'a [TokenId],
-    /// Negative context bags.
-    pub neg_bags: &'a [Vec<TokenId>],
-    /// Per-negative InfoNCE weights (`None` = uniform).
-    pub weights: Option<&'a [f32]>,
-}
-
-/// Uniform access to owned and borrowed examples so the fused chunk
-/// kernel is written once.
-pub(crate) trait ExampleView {
-    fn anchor_bag(&self) -> &[TokenId];
-    fn pos_bag(&self) -> &[TokenId];
-    fn neg_bags(&self) -> &[Vec<TokenId>];
-    fn weights(&self) -> Option<&[f32]>;
-}
-
-impl ExampleView for ContrastiveExample {
-    fn anchor_bag(&self) -> &[TokenId] {
-        &self.anchor_bag
-    }
-    fn pos_bag(&self) -> &[TokenId] {
-        &self.pos_bag
-    }
-    fn neg_bags(&self) -> &[Vec<TokenId>] {
-        &self.neg_bags
-    }
-    fn weights(&self) -> Option<&[f32]> {
-        self.weights.as_deref()
-    }
-}
-
-impl ExampleView for ContrastiveExampleRef<'_> {
-    fn anchor_bag(&self) -> &[TokenId] {
-        self.anchor_bag
-    }
-    fn pos_bag(&self) -> &[TokenId] {
-        self.pos_bag
-    }
-    fn neg_bags(&self) -> &[Vec<TokenId>] {
-        self.neg_bags
-    }
-    fn weights(&self) -> Option<&[f32]> {
-        self.weights
-    }
 }
 
 /// Chunks per training batch. Fixed — never derived from the thread count
@@ -373,41 +317,6 @@ impl EntityEncoder {
         self.emb.apply_sparse_sgd(lr, wd, self.cfg.clip);
     }
 
-    /// One InfoNCE step over already-built context bags. Returns the loss.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn contrastive_step(
-        &mut self,
-        anchor_bag: &[TokenId],
-        pos_bag: &[TokenId],
-        neg_bags: &[Vec<TokenId>],
-    ) -> f32 {
-        self.contrastive_step_weighted(anchor_bag, pos_bag, neg_bags, None)
-    }
-
-    /// [`contrastive_step`](Self::contrastive_step) with per-negative
-    /// weights (the Section 6.2 "amplify hard negatives" experiment).
-    /// Routed as a borrowed batch of one through the fused chunk kernel —
-    /// no bag is cloned (the historical implementation copied every bag
-    /// into an owned [`ContrastiveExample`] first).
-    pub(crate) fn contrastive_step_weighted(
-        &mut self,
-        anchor_bag: &[TokenId],
-        pos_bag: &[TokenId],
-        neg_bags: &[Vec<TokenId>],
-        weights: Option<&[f32]>,
-    ) -> f32 {
-        let ex = ContrastiveExampleRef {
-            anchor_bag,
-            pos_bag,
-            neg_bags,
-            weights,
-        };
-        let mut ws = TrainWorkspace::new();
-        let loss = self.contrastive_chunk_grads(std::slice::from_ref(&ex), &mut ws);
-        self.apply_contrastive_update(&ws.proj_grad, &ws.sink);
-        loss
-    }
-
     /// Gradients of the InfoNCE loss for one example, computed against the
     /// current (frozen) parameters through the historical allocating path:
     /// forward all branches, then backward each through l2norm → proj →
@@ -453,8 +362,8 @@ impl EntityEncoder {
     /// Returns the chunk's loss sum, left-folded in example order.
     ///
     /// The fusion: every bag of every example becomes one row of `ws.h`,
-    /// the projection head runs as two blocked GEMMs over the whole chunk
-    /// ([`Mlp::forward_batch`]), and the backward pass accumulates
+    /// the projection head runs as two sweep-form GEMMs over the whole
+    /// chunk ([`Mlp::forward_batch_pret`]), and the backward pass accumulates
     /// straight into the chunk-level `proj_grad` / `sink` accumulators —
     /// no per-example gradient structs, no allocations after warm-up.
     /// Bit-equality with the per-example reference path
@@ -462,16 +371,16 @@ impl EntityEncoder {
     /// is pinned by the fused-vs-reference proptest in
     /// `tests/par_determinism.rs`.
     // ultra-lint: hot
-    pub(crate) fn contrastive_chunk_grads<E: ExampleView>(
+    pub(crate) fn contrastive_chunk_grads(
         &self,
-        examples: &[E],
+        examples: &[ContrastiveExample],
         ws: &mut TrainWorkspace,
     ) -> f32 {
         let mut rows = 0usize;
         let mut max_logits = 1usize;
         for ex in examples {
-            rows += 2 + ex.neg_bags().len();
-            max_logits = max_logits.max(1 + ex.neg_bags().len());
+            rows += 2 + ex.neg_bags.len();
+            max_logits = max_logits.max(1 + ex.neg_bags.len());
         }
         ws.ensure(&self.proj, self.emb.vocab_size(), rows, max_logits);
         ws.reset();
@@ -479,16 +388,17 @@ impl EntityEncoder {
         //    (anchor, positive, negatives…).
         let mut r = 0usize;
         for ex in examples {
-            self.encode_bag_into(ex.anchor_bag(), ws.h.row_mut(r));
-            self.encode_bag_into(ex.pos_bag(), ws.h.row_mut(r + 1));
-            for (k, nb) in ex.neg_bags().iter().enumerate() {
+            self.encode_bag_into(&ex.anchor_bag, ws.h.row_mut(r));
+            self.encode_bag_into(&ex.pos_bag, ws.h.row_mut(r + 1));
+            for (k, nb) in ex.neg_bags.iter().enumerate() {
                 self.encode_bag_into(nb, ws.h.row_mut(r + 2 + k));
             }
-            r += 2 + ex.neg_bags().len();
+            r += 2 + ex.neg_bags.len();
         }
         // 2) Project the whole chunk: two sweep-form GEMMs against the
-        //    transposed weight snapshot (bit-identical to the dot-form
-        //    `forward_batch`, ~2x faster — see `matmat_nt_pret_into`).
+        //    transposed weight snapshot (bit-identical to per-row
+        //    `forward`, ~2x faster than dot form — see
+        //    `matmat_nt_pret_into`).
         self.proj.forward_batch_pret(
             &self.proj_t,
             &ws.h,
@@ -508,7 +418,7 @@ impl EntityEncoder {
         let mut loss_sum = 0.0f32;
         let mut base = 0usize;
         for ex in examples {
-            let k = ex.neg_bags().len();
+            let k = ex.neg_bags.len();
             let z = ws.z.as_slice();
             let anchor = &z[base * d..(base + 1) * d];
             let positive = &z[(base + 1) * d..(base + 2) * d];
@@ -520,7 +430,7 @@ impl EntityEncoder {
                 anchor,
                 positive,
                 negatives,
-                ex.weights(),
+                ex.weights.as_deref(),
                 self.cfg.tau,
                 &mut ws.logits[..1 + k],
                 d_anchor,
@@ -561,12 +471,12 @@ impl EntityEncoder {
         }
         let mut rr = 0usize;
         for ex in examples {
-            self.bag_grad_into_sink(ex.anchor_bag(), rr, ws);
-            self.bag_grad_into_sink(ex.pos_bag(), rr + 1, ws);
-            for (k, nb) in ex.neg_bags().iter().enumerate() {
+            self.bag_grad_into_sink(&ex.anchor_bag, rr, ws);
+            self.bag_grad_into_sink(&ex.pos_bag, rr + 1, ws);
+            for (k, nb) in ex.neg_bags.iter().enumerate() {
                 self.bag_grad_into_sink(nb, rr + 2 + k, ws);
             }
-            rr += 2 + ex.neg_bags().len();
+            rr += 2 + ex.neg_bags.len();
         }
         loss_sum
     }
@@ -589,8 +499,6 @@ impl EntityEncoder {
 
     /// Applies one batch's merged gradients: accumulate into the
     /// projection head, one SGD step, then the sparse embedding update.
-    /// Shared by every batch path (fused, per-sample, worker-team) so the
-    /// optimizer arithmetic cannot drift between them.
     pub(crate) fn apply_contrastive_update(&mut self, proj_g: &MlpGrad, sink: &SparseSink) {
         self.proj.accumulate(proj_g);
         let lr = self.cfg.contrastive_lr;
@@ -602,37 +510,10 @@ impl EntityEncoder {
             .apply_sparse_sgd_from_sink(sink, lr, self.cfg.weight_decay, self.cfg.clip);
     }
 
-    /// One fused optimizer step over a batch: cost-weighted chunk
-    /// boundaries, the fused chunk kernel per chunk, chunk accumulators
-    /// merged in chunk order (a fixed reduction tree), one parameter
-    /// update. Returns the mean loss. Sequential over chunks — the
-    /// worker-team path in `contrastive.rs` runs the same chunks on
-    /// threads and is bit-identical by construction.
-    pub fn contrastive_batch_step_fused(
-        &mut self,
-        examples: &[ContrastiveExample],
-        wss: &mut TrainWorkspaces,
-    ) -> f32 {
-        if examples.is_empty() {
-            return 0.0;
-        }
-        let bounds = batch_boundaries(examples, self.cfg.dim);
-        if wss.chunks.len() < bounds.len() {
-            wss.chunks.resize_with(bounds.len(), TrainWorkspace::new);
-        }
-        let mut loss_sum = 0.0f32;
-        for (c, r) in bounds.iter().enumerate() {
-            loss_sum += self.contrastive_chunk_grads(&examples[r.start..r.end], &mut wss.chunks[c]);
-        }
-        merge_chunk_accumulators(&mut wss.chunks, bounds.len());
-        let first = &wss.chunks[0];
-        self.apply_contrastive_update(&first.proj_grad, &first.sink);
-        loss_sum / examples.len() as f32
-    }
-
-    /// Per-example reference for the fused batch step: identical chunk
-    /// boundaries and reduction order, but gradients computed one example
-    /// at a time through the allocating path
+    /// Per-example reference for the fused batch step
+    /// (`contrastive_batch_step_pooled`): identical chunk boundaries and
+    /// reduction order, but gradients computed one example at a time
+    /// through the allocating path
     /// ([`contrastive_grads_into`](Self::contrastive_grads_into)). Exists
     /// to pin the fused kernel — the determinism proptests assert both
     /// paths produce bit-identical losses and parameters.
@@ -864,9 +745,22 @@ mod tests {
             let zp = enc.project(&enc.encode_bag(&p));
             cosine(&za, &zp)
         };
+        let ex = ContrastiveExample {
+            anchor_bag: a.clone(),
+            pos_bag: p.clone(),
+            neg_bags: vec![n],
+            weights: None,
+        };
+        let pool = ultra_par::Pool::new(1);
+        let mut wss = ultra_nn::TrainWorkspaces::new(TRAIN_CHUNKS);
         let mut last = f32::INFINITY;
         for _ in 0..30 {
-            last = enc.contrastive_step(&a, &p, std::slice::from_ref(&n));
+            last = crate::contrastive::contrastive_batch_step_pooled(
+                &mut enc,
+                std::slice::from_ref(&ex),
+                &pool,
+                &mut wss,
+            );
         }
         let sim_after = {
             let za = enc.project(&enc.encode_bag(&a));

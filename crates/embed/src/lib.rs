@@ -28,5 +28,5 @@ pub mod reps;
 pub use augment::Augmentation;
 pub use config::EncoderConfig;
 pub use contrastive::{contrastive_batch_step_pooled, MinedLists, PairConfig, QueryLists};
-pub use encoder::{ContrastiveExample, ContrastiveExampleRef, EntityEncoder};
+pub use encoder::{ContrastiveExample, EntityEncoder};
 pub use reps::EntityEmbeddings;

@@ -94,14 +94,19 @@ where
         .filter(|u| keep(u))
         .flat_map(|u| u.queries.iter().map(move |q| (u, q)))
         .collect();
-    // Queries are heavyweight (a full expansion each), so fan out per item
-    // rather than in length-derived chunks.
-    let evals = pool.map_ordered_each(&pairs, |&(u, q)| {
-        let seeds: Vec<EntityId> = q.all_seeds().collect();
-        let list = expand(u, q).without(&seeds);
-        let (pos, neg) = ground_truth_for(u, q);
-        QueryEval::compute(&list, &pos, &neg)
-    });
+    // Queries are heavyweight (a full expansion each), so unit costs split
+    // as finely as the pool allows (one query per chunk up to 64 queries)
+    // instead of into length-derived chunks of at least 16.
+    let evals = pool.map_ordered_weighted(
+        &pairs,
+        |_| 1,
+        |&(u, q)| {
+            let seeds: Vec<EntityId> = q.all_seeds().collect();
+            let list = expand(u, q).without(&seeds);
+            let (pos, neg) = ground_truth_for(u, q);
+            QueryEval::compute(&list, &pos, &neg)
+        },
+    );
     MetricReport::aggregate(&evals)
 }
 

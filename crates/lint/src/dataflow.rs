@@ -833,19 +833,7 @@ const SORT_SANITIZERS: [&str; 7] = [
 
 /// `ultra-par`'s ordered execution APIs: chunking and assembly order are
 /// fixed, so results are thread-count-invariant by construction.
-const ORDERED_API_SANITIZERS: [&str; 11] = [
-    "reduce_ordered",
-    "par_reduce_ordered",
-    "ranges_map_ordered",
-    "ranges_map_ordered_with",
-    "chunks_map_ordered",
-    "chunks_map_ordered_with",
-    "map_ordered",
-    "map_ordered_each",
-    "par_map_ordered",
-    "par_chunks_map_ordered",
-    "par_ranges_map_ordered",
-];
+const ORDERED_API_SANITIZERS: [&str; 2] = ["ranges_map_ordered", "map_ordered"];
 
 /// Order-insensitive observers: their result does not depend on iteration
 /// order, so order-taint stops here (value-taint does not).
@@ -1485,9 +1473,9 @@ fn check_ordered_float(models: &[FileModel], out: &mut Vec<Diagnostic>) {
                         "float accumulation in a loop over a hash-ordered collection \
                          (loop at line {loop_line}): iteration order changes the sum"
                     ),
-                    suggestion: "iterate a BTreeMap / sorted keys, or reduce through \
-                                 ultra_par's ordered APIs (`reduce_ordered`, \
-                                 `ranges_map_ordered`)",
+                    suggestion: "iterate a BTreeMap / sorted keys, or map through \
+                                 ultra_par's ordered APIs (`ranges_map_ordered`) \
+                                 and fold the results in chunk order",
                     chain: Vec::new(),
                     origin: None,
                     region: None,

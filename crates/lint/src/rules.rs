@@ -319,9 +319,9 @@ pub struct FileContext<'a> {
     pub tokens: &'a [Tok],
     /// Parallel mask from [`crate::lexer::test_code_mask`].
     pub in_test: &'a [bool],
-    /// Whether the file is library code (see [`crate::walk`] for the
-    /// classification: `crates/*/src/**` minus bins, not tests/benches/
-    /// examples).
+    /// Whether the file is library code (see `classify_lib` in the crate
+    /// root for the classification: `crates/*/src/**` minus bins, not
+    /// tests/benches/examples).
     pub is_lib: bool,
     /// Whether the file belongs to a crate whose output ranking must be
     /// deterministic (L2's scope).

@@ -104,72 +104,38 @@ impl Linear {
         y
     }
 
-    /// Backward pass: accumulates weight/bias gradients and returns the
-    /// gradient w.r.t. the input.
+    /// Backward pass into an external gradient buffer: accumulates
+    /// weight/bias gradients into `g` and returns the gradient w.r.t. the
+    /// input. `x` is the input given to [`forward`](Self::forward), `y`
+    /// its output, `dy` the loss gradient w.r.t. `y`.
     ///
-    /// `x` is the input given to [`forward`](Self::forward), `y` its output,
-    /// `dy` the loss gradient w.r.t. `y`.
-    pub fn backward(&mut self, x: &[f32], y: &[f32], dy: &[f32]) -> Vec<f32> {
-        backward_core(
-            &self.w,
-            self.act,
-            self.use_bias,
-            x,
-            y,
-            dy,
-            &mut self.gw,
-            &mut self.gb,
-        )
-    }
-
-    /// Non-mutating backward pass into an external gradient buffer.
-    ///
-    /// Identical math to [`backward`](Self::backward), but `self` stays
-    /// frozen — this is what lets per-sample gradients be computed in
-    /// parallel against one parameter snapshot and merged in a fixed order
-    /// afterwards (see `ultra-par`).
+    /// `self` stays frozen — this is what lets per-sample gradients be
+    /// computed in parallel against one parameter snapshot and merged in a
+    /// fixed order afterwards (see `ultra-par`).
     pub fn backward_into(&self, x: &[f32], y: &[f32], dy: &[f32], g: &mut LinearGrad) -> Vec<f32> {
-        backward_core(
-            &self.w,
-            self.act,
-            self.use_bias,
-            x,
-            y,
-            dy,
-            &mut g.gw,
-            &mut g.gb,
-        )
-    }
-
-    /// Batched forward pass: row `r` of `y` becomes `forward(x.row(r))`.
-    /// One blocked GEMM ([`Matrix::matmat_nt_into`]) replaces `B`
-    /// independent `matvec`s; because both paths compute every output
-    /// element with the same `dot_unrolled` kernel, the batch is
-    /// bit-identical to the per-row loop. `y` must be pre-shaped
-    /// `(x.rows × out_dim)`.
-    pub fn forward_batch(&self, x: &Matrix, y: &mut Matrix) {
-        x.matmat_nt_into(&self.w, y);
-        for r in 0..y.rows() {
-            let row = y.row_mut(r);
-            if self.use_bias {
-                for (yi, bi) in row.iter_mut().zip(&self.b) {
-                    *yi = self.act.forward(*yi + bi);
-                }
-            } else {
-                for yi in row.iter_mut() {
-                    *yi = self.act.forward(*yi);
-                }
+        // Pre-activation gradient.
+        let dz: Vec<f32> = dy
+            .iter()
+            .zip(y)
+            .map(|(&d, &yv)| d * self.act.backward_from_output(yv))
+            .collect();
+        g.gw.add_outer(1.0, &dz, x);
+        if self.use_bias {
+            for (gb, d) in g.gb.iter_mut().zip(&dz) {
+                *gb += d;
             }
         }
+        self.w.matvec_t(&dz)
     }
 
-    /// [`forward_batch`](Self::forward_batch) against a pre-transposed
-    /// weight matrix (`wt = wᵀ`, kept fresh by the caller): the GEMM runs
-    /// in throughput-bound sweep form ([`Matrix::matmat_nt_pret_into`])
-    /// instead of dot form, with `lanes` as the sweep's partial-sum
-    /// scratch. Bit-identical to `forward_batch` — the sweep reproduces
-    /// `dot_unrolled`'s exact summand grouping — and the bias/activation
-    /// epilogue is the same loop.
+    /// Batched forward pass against a pre-transposed weight matrix
+    /// (`wt = wᵀ`, kept fresh by the caller): row `r` of `y` becomes
+    /// `forward(x.row(r))`. The GEMM runs in throughput-bound sweep form
+    /// ([`Matrix::matmat_nt_pret_into`]) with `lanes` as the sweep's
+    /// partial-sum scratch. Bit-identical to the per-row
+    /// [`forward`](Self::forward) — the sweep reproduces `dot_unrolled`'s
+    /// exact summand grouping — and the bias/activation epilogue is the
+    /// same expression. `y` must be pre-shaped `(x.rows × out_dim)`.
     // ultra-lint: hot
     pub fn forward_batch_pret(&self, x: &Matrix, wt: &Matrix, y: &mut Matrix, lanes: &mut Matrix) {
         debug_assert_eq!(wt.rows(), self.w.cols(), "forward_batch_pret: stale wt");
@@ -189,37 +155,11 @@ impl Linear {
         }
     }
 
-    /// [`backward_into`](Self::backward_into) against caller-owned scratch:
-    /// the pre-activation gradient lands in `dz` (`len == out_dim`) and the
-    /// input gradient in `dx` (`len == in_dim`) instead of fresh `Vec`s.
-    /// Same math, same bits, zero allocations — the training-workspace
-    /// form.
-    // ultra-lint: hot
-    pub fn backward_into_buf(
-        &self,
-        x: &[f32],
-        y: &[f32],
-        dy: &[f32],
-        g: &mut LinearGrad,
-        dz: &mut [f32],
-        dx: &mut [f32],
-    ) {
-        for ((dzi, &d), &yv) in dz.iter_mut().zip(dy).zip(y) {
-            *dzi = d * self.act.backward_from_output(yv);
-        }
-        g.gw.add_outer(1.0, dz, x);
-        if self.use_bias {
-            for (gb, &d) in g.gb.iter_mut().zip(dz.iter()) {
-                *gb += d;
-            }
-        }
-        self.w.matvec_t_into(dz, dx);
-    }
-
     /// Backward over a block of rows `r0..r1` of batched forward buffers
     /// (`x` inputs, `y` outputs, `dy` output gradients, all row-aligned):
-    /// per row exactly the [`backward_into_buf`](Self::backward_into_buf)
-    /// math, but with each weight/gradient matrix streamed once per
+    /// per row exactly the [`backward_into`](Self::backward_into) math,
+    /// against caller-owned scratch (`dz` pre-activation gradients, `dx`
+    /// input gradients), with each weight/gradient matrix streamed once per
     /// *block* instead of once per row. The per-row backward is
     /// bandwidth-bound — `gw` and `w` together far exceed L1 — so a
     /// four-row block cuts that traffic ~4×.
@@ -229,7 +169,7 @@ impl Linear {
     /// per-row kernel in ascending-`r` order, every `dx[r][j]` its
     /// summands in ascending-`i` order, and the zero-skips mirror
     /// [`Matrix::add_outer`] / [`Matrix::matvec_t_into`] — so a block is
-    /// bit-identical to `r1 - r0` sequential `backward_into_buf` calls.
+    /// bit-identical to `r1 - r0` sequential `backward_into` calls.
     // ultra-lint: hot
     #[allow(clippy::too_many_arguments)]
     pub fn backward_rows_into_buf(
@@ -300,34 +240,6 @@ impl Linear {
     pub fn weights(&self) -> &Matrix {
         &self.w
     }
-}
-
-/// Shared backward math of [`Linear::backward`] and
-/// [`Linear::backward_into`]: both must produce the same bits.
-#[allow(clippy::too_many_arguments)]
-fn backward_core(
-    w: &Matrix,
-    act: Activation,
-    use_bias: bool,
-    x: &[f32],
-    y: &[f32],
-    dy: &[f32],
-    gw: &mut Matrix,
-    gb: &mut [f32],
-) -> Vec<f32> {
-    // Pre-activation gradient.
-    let dz: Vec<f32> = dy
-        .iter()
-        .zip(y)
-        .map(|(&d, &yv)| d * act.backward_from_output(yv))
-        .collect();
-    gw.add_outer(1.0, &dz, x);
-    if use_bias {
-        for (g, d) in gb.iter_mut().zip(&dz) {
-            *g += d;
-        }
-    }
-    w.matvec_t(&dz)
 }
 
 /// Detached gradient buffer for a [`Linear`] layer.
@@ -438,32 +350,19 @@ impl Mlp {
     }
 
     /// Forward pass returning `(hidden activation, output)`; the hidden
-    /// activation must be fed back to [`backward`](Self::backward).
+    /// activation must be fed back to [`backward_into`](Self::backward_into).
     pub fn forward(&self, x: &[f32]) -> (Vec<f32>, Vec<f32>) {
         let h = self.hidden.forward(x);
         let y = self.out.forward(&h);
         (h, y)
     }
 
-    /// Backward pass; returns gradient w.r.t. the input.
-    pub fn backward(&mut self, x: &[f32], h: &[f32], y: &[f32], dy: &[f32]) -> Vec<f32> {
-        let dh = self.out.backward(h, y, dy);
-        self.hidden.backward(x, h, &dh)
-    }
-
-    /// Batched forward pass over a row matrix of examples: two blocked
-    /// GEMMs instead of `2B` matvecs. `h` must be pre-shaped
+    /// Batched forward pass over a row matrix of examples through a
+    /// transposed weight snapshot (see [`MlpT`]): two sweep-form GEMMs
+    /// instead of `2B` matvecs. `h` must be pre-shaped
     /// `(x.rows × hidden_dim)` and `y` `(x.rows × out_dim)`; row `r` of
-    /// `(h, y)` is bit-identical to `forward(x.row(r))`.
-    pub fn forward_batch(&self, x: &Matrix, h: &mut Matrix, y: &mut Matrix) {
-        self.hidden.forward_batch(x, h);
-        self.out.forward_batch(h, y);
-    }
-
-    /// [`forward_batch`](Self::forward_batch) through a transposed weight
-    /// snapshot (see [`MlpT`]): both GEMMs run in sweep form. Bit-identical
-    /// to `forward_batch` as long as `t` is fresh — refresh the snapshot
-    /// after every parameter update.
+    /// `(h, y)` is bit-identical to `forward(x.row(r))` as long as `t` is
+    /// fresh — refresh the snapshot after every parameter update.
     // ultra-lint: hot
     pub fn forward_batch_pret(
         &self,
@@ -477,29 +376,7 @@ impl Mlp {
         self.out.forward_batch_pret(h, &t.out_t, y, lanes);
     }
 
-    /// [`backward_into`](Self::backward_into) against caller-owned scratch
-    /// (`dz_out`/`dh` sized like the output layer's `out`/`in`,
-    /// `dz_hidden`/`dx` like the hidden layer's): same math and bits, zero
-    /// allocations.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_into_buf(
-        &self,
-        x: &[f32],
-        h: &[f32],
-        y: &[f32],
-        dy: &[f32],
-        g: &mut MlpGrad,
-        dz_out: &mut [f32],
-        dh: &mut [f32],
-        dz_hidden: &mut [f32],
-        dx: &mut [f32],
-    ) {
-        self.out.backward_into_buf(h, y, dy, &mut g.out, dz_out, dh);
-        self.hidden
-            .backward_into_buf(x, h, dh, &mut g.hidden, dz_hidden, dx);
-    }
-
-    /// Block-of-rows variant of [`backward_into_buf`](Self::backward_into_buf)
+    /// Block-of-rows variant of [`backward_into`](Self::backward_into)
     /// over batched forward buffers (`x` inputs, `h` hidden activations,
     /// `y` outputs, `dy` output gradients, all row-aligned): both layers
     /// run their [`Linear::backward_rows_into_buf`] sweep over rows
@@ -526,8 +403,8 @@ impl Mlp {
             .backward_rows_into_buf(x, h, dh, r0, r1, &mut g.hidden, dz_hidden, dx);
     }
 
-    /// Non-mutating backward pass into an external [`MlpGrad`]; same math
-    /// (and bits) as [`backward`](Self::backward).
+    /// Backward pass into an external [`MlpGrad`]; returns the gradient
+    /// w.r.t. the input.
     pub fn backward_into(
         &self,
         x: &[f32],
@@ -653,15 +530,20 @@ mod tests {
     use crate::optim::Sgd;
     use ultra_core::derive_rng;
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
     /// Numerically checks dL/dx for L = sum(y) through a tanh linear layer.
     #[test]
     fn linear_backward_matches_finite_differences() {
         let mut rng = derive_rng(3, 0);
-        let mut layer = Linear::new(3, 2, Activation::Tanh, &mut rng);
+        let layer = Linear::new(3, 2, Activation::Tanh, &mut rng);
         let x = vec![0.3f32, -0.7, 0.2];
         let y = layer.forward(&x);
         let dy = vec![1.0f32; 2];
-        let dx = layer.backward(&x, &y, &dy);
+        let mut g = LinearGrad::zeros_like(&layer);
+        let dx = layer.backward_into(&x, &y, &dy, &mut g);
         let eps = 1e-3f32;
         for i in 0..3 {
             let mut xp = x.clone();
@@ -676,11 +558,10 @@ mod tests {
     }
 
     /// The block-of-rows backward must be bit-identical to per-row
-    /// `backward_into_buf` calls — for every block size, for a biased
-    /// tanh layer and a bias-free identity layer, across `gw`, `gb`,
-    /// `dz`, and `dx`.
+    /// `backward_into` calls — for every block size, for a biased tanh
+    /// layer and a bias-free identity layer, across `gw`, `gb`, and `dx`.
     #[test]
-    fn backward_rows_into_buf_is_bit_identical_to_per_row_calls() {
+    fn backward_rows_into_buf_is_bit_identical_to_per_row_backward_into() {
         let mut rng = derive_rng(11, 0);
         for (use_bias, act) in [(true, Activation::Tanh), (false, Activation::None)] {
             let layer = if use_bias {
@@ -710,22 +591,11 @@ mod tests {
                 }
             }
 
-            // Reference: per-row kernel, rows in ascending order.
+            // Reference: the per-row kernel, rows in ascending order.
             let mut g_ref = LinearGrad::zeros_like(&layer);
-            let mut dz_ref = Matrix::zeros(rows, 4);
             let mut dx_ref = Matrix::zeros(rows, 5);
             for r in 0..rows {
-                let mut dz = vec![0.0f32; 4];
-                let mut dx = vec![0.0f32; 5];
-                layer.backward_into_buf(
-                    x.row(r),
-                    y.row(r),
-                    dy.row(r),
-                    &mut g_ref,
-                    &mut dz,
-                    &mut dx,
-                );
-                dz_ref.row_mut(r).copy_from_slice(&dz);
+                let dx = layer.backward_into(x.row(r), y.row(r), dy.row(r), &mut g_ref);
                 dx_ref.row_mut(r).copy_from_slice(&dx);
             }
 
@@ -739,47 +609,50 @@ mod tests {
                     layer.backward_rows_into_buf(&x, &y, &dy, r0, r1, &mut g, &mut dz, &mut dx);
                     r0 = r1;
                 }
-                let bits =
-                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&g.gw), bits(&g_ref.gw), "gw, block={block}");
                 assert_eq!(
-                    g.gb.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    g_ref.gb.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "gb, block={block}"
+                    bits(g.gw.as_slice()),
+                    bits(g_ref.gw.as_slice()),
+                    "gw, block={block}"
                 );
-                assert_eq!(bits(&dz), bits(&dz_ref), "dz, block={block}");
-                assert_eq!(bits(&dx), bits(&dx_ref), "dx, block={block}");
+                assert_eq!(bits(&g.gb), bits(&g_ref.gb), "gb, block={block}");
+                assert_eq!(
+                    bits(dx.as_slice()),
+                    bits(dx_ref.as_slice()),
+                    "dx, block={block}"
+                );
             }
         }
     }
 
     /// The sweep-form batched forward through a transposed snapshot must
-    /// be bit-identical to the dot-form `forward_batch` — biased tanh
-    /// layers included (the projection head is bias-free, so only this
-    /// test exercises the bias epilogue of the pret path).
+    /// be bit-identical to the per-row forward — for the biased tanh MLP
+    /// (the only exercise of the pret path's bias epilogue: the projection
+    /// head is bias-free) and for the bias-free projection variant, with
+    /// dirty lane scratch.
     #[test]
-    fn forward_batch_pret_is_bit_identical_to_forward_batch() {
-        let mut rng = derive_rng(13, 0);
-        let mlp = Mlp::new(5, 6, 4, Activation::Tanh, &mut rng);
-        let mut t = MlpT::new();
-        t.refresh(&mlp);
-        let rows = 7usize;
-        let mut x = Matrix::zeros(rows, 5);
-        for r in 0..rows {
-            for c in 0..5 {
-                x.row_mut(r)[c] = ((r * 5 + c) as f32 * 0.61).cos();
+    fn forward_batch_pret_matches_per_row_forward_bitwise() {
+        let mut rng = derive_rng(21, 0);
+        for mlp in [
+            Mlp::new(6, 9, 5, Activation::Tanh, &mut rng),
+            Mlp::new_projection(6, 9, 5, Activation::Relu, &mut rng),
+        ] {
+            let mut t = MlpT::new();
+            t.refresh(&mlp);
+            let mut x = Matrix::zeros(23, 6);
+            for r in 0..23 {
+                for c in 0..6 {
+                    x.row_mut(r)[c] = ((r * 7 + c) as f32 * 0.31).sin();
+                }
             }
-        }
-        let (mut h1, mut y1) = (Matrix::zeros(rows, 6), Matrix::zeros(rows, 4));
-        mlp.forward_batch(&x, &mut h1, &mut y1);
-        let (mut h2, mut y2) = (Matrix::zeros(rows, 6), Matrix::zeros(rows, 4));
-        let mut lanes = Matrix::zeros(5, 6);
-        mlp.forward_batch_pret(&t, &x, &mut h2, &mut y2, &mut lanes);
-        for (a, b) in h1.as_slice().iter().zip(h2.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in y1.as_slice().iter().zip(y2.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+            let mut h = Matrix::zeros(23, 9);
+            let mut y = Matrix::zeros(23, 5);
+            let mut lanes = Matrix::from_vec(5, 9, vec![7.5; 45]);
+            mlp.forward_batch_pret(&t, &x, &mut h, &mut y, &mut lanes);
+            for r in 0..23 {
+                let (hr, yr) = mlp.forward(x.row(r));
+                assert_eq!(bits(h.row(r)), bits(&hr), "hidden row {r}");
+                assert_eq!(bits(y.row(r)), bits(&yr), "output row {r}");
+            }
         }
     }
 
@@ -797,7 +670,9 @@ mod tests {
         let before = loss(&layer);
         let y = layer.forward(&x);
         let dy = vec![2.0 * (y[0] - target)];
-        layer.backward(&x, &y, &dy);
+        let mut g = LinearGrad::zeros_like(&layer);
+        layer.backward_into(&x, &y, &dy, &mut g);
+        layer.accumulate(&g);
         Sgd::new(0.05).step(&mut layer);
         assert!(loss(&layer) < before);
     }
@@ -809,100 +684,6 @@ mod tests {
         let (h, y) = mlp.forward(&[0.1, 0.2, 0.3, 0.4]);
         assert_eq!(h.len(), 8);
         assert_eq!(y.len(), 3);
-    }
-
-    #[test]
-    fn backward_into_plus_accumulate_matches_backward_bitwise() {
-        let mut rng = derive_rng(11, 0);
-        let proto = Mlp::new_projection(3, 5, 4, Activation::Tanh, &mut rng);
-        let x = vec![0.4f32, -0.9, 0.15];
-        let dy = vec![0.7f32, -0.3, 0.2, 1.1];
-
-        // Path A: in-place backward.
-        let mut a = proto.clone();
-        let (h, y) = a.forward(&x);
-        let dxa = a.backward(&x, &h, &y, &dy);
-
-        // Path B: detached buffer, then accumulate.
-        let mut b = proto.clone();
-        let mut g = MlpGrad::zeros_like(&b);
-        let dxb = b.backward_into(&x, &h, &y, &dy, &mut g);
-        b.accumulate(&g);
-
-        assert_eq!(dxa, dxb);
-        let collect = |m: &mut Mlp| {
-            let mut out: Vec<u32> = Vec::new();
-            m.visit(&mut |_, grads| out.extend(grads.iter().map(|g| g.to_bits())));
-            out
-        };
-        assert_eq!(collect(&mut a), collect(&mut b));
-    }
-
-    #[test]
-    fn batched_forward_matches_per_row_forward_bitwise() {
-        let mut rng = derive_rng(21, 0);
-        // Both variants: with bias+tanh and the bias-free projection.
-        for mlp in [
-            Mlp::new(6, 9, 5, Activation::Tanh, &mut rng),
-            Mlp::new_projection(6, 9, 5, Activation::Relu, &mut rng),
-        ] {
-            let mut x = Matrix::zeros(23, 6);
-            for r in 0..23 {
-                for c in 0..6 {
-                    x.row_mut(r)[c] = ((r * 7 + c) as f32 * 0.31).sin();
-                }
-            }
-            let mut h = Matrix::zeros(23, 9);
-            let mut y = Matrix::zeros(23, 5);
-            mlp.forward_batch(&x, &mut h, &mut y);
-            for r in 0..23 {
-                let (hr, yr) = mlp.forward(x.row(r));
-                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(h.row(r)), bits(&hr), "hidden row {r}");
-                assert_eq!(bits(y.row(r)), bits(&yr), "output row {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn buffered_backward_matches_backward_into_bitwise() {
-        let mut rng = derive_rng(22, 0);
-        let mlp = Mlp::new_projection(4, 6, 3, Activation::Tanh, &mut rng);
-        let x = vec![0.4f32, -0.9, 0.15, 0.7];
-        let (h, y) = mlp.forward(&x);
-        let dy = vec![0.7f32, -0.3, 0.2];
-        let mut ga = MlpGrad::zeros_like(&mlp);
-        let dxa = mlp.backward_into(&x, &h, &y, &dy, &mut ga);
-        let mut gb = MlpGrad::zeros_like(&mlp);
-        // Scratch deliberately starts dirty: every element must be
-        // overwritten, not accumulated into.
-        let mut dz_out = vec![9.0f32; 3];
-        let mut dh = vec![9.0f32; 6];
-        let mut dz_hidden = vec![9.0f32; 6];
-        let mut dxb = vec![9.0f32; 4];
-        mlp.backward_into_buf(
-            &x,
-            &h,
-            &y,
-            &dy,
-            &mut gb,
-            &mut dz_out,
-            &mut dh,
-            &mut dz_hidden,
-            &mut dxb,
-        );
-        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&dxa), bits(&dxb));
-        let mut a = mlp.clone();
-        let mut b = mlp.clone();
-        a.accumulate(&ga);
-        b.accumulate(&gb);
-        let collect = |m: &mut Mlp| {
-            let mut out: Vec<u32> = Vec::new();
-            m.visit(&mut |_, grads| out.extend(grads.iter().map(|g| g.to_bits())));
-            out
-        };
-        assert_eq!(collect(&mut a), collect(&mut b));
     }
 
     #[test]
@@ -918,18 +699,12 @@ mod tests {
         let mut merged = LinearGrad::zeros_like(&layer);
         merged.add_assign(&g1);
         merged.add_assign(&g2);
-        let mut l = layer.clone();
-        l.accumulate(&merged);
         // The merged buffer equals the sequential two-sample accumulation.
-        let mut seq = layer.clone();
-        seq.backward(&x, &y, &[1.0, 0.0]);
-        seq.backward(&x, &y, &[0.0, 2.0]);
-        let grads = |m: &mut Linear| {
-            let mut out: Vec<u32> = Vec::new();
-            m.visit(&mut |_, g| out.extend(g.iter().map(|v| v.to_bits())));
-            out
-        };
-        assert_eq!(grads(&mut l), grads(&mut seq));
+        let mut seq = LinearGrad::zeros_like(&layer);
+        layer.backward_into(&x, &y, &[1.0, 0.0], &mut seq);
+        layer.backward_into(&x, &y, &[0.0, 2.0], &mut seq);
+        assert_eq!(bits(merged.gw.as_slice()), bits(seq.gw.as_slice()));
+        assert_eq!(bits(&merged.gb), bits(&seq.gb));
     }
 
     #[test]

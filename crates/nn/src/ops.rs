@@ -91,28 +91,6 @@ pub fn l2_normalize_backward_into(y: &[f32], norm: f32, dy: &[f32], dx: &mut [f3
     }
 }
 
-/// Mean of a set of equal-length vectors; `None` if the set is empty.
-pub fn mean_pool<'a, I>(vectors: I, dim: usize) -> Option<Vec<f32>>
-where
-    I: IntoIterator<Item = &'a [f32]>,
-{
-    let mut acc = vec![0.0f32; dim];
-    let mut count = 0usize;
-    for v in vectors {
-        debug_assert_eq!(v.len(), dim);
-        for (a, &x) in acc.iter_mut().zip(v) {
-            *a += x;
-        }
-        count += 1;
-    }
-    if count == 0 {
-        return None;
-    }
-    let inv = 1.0 / count as f32;
-    acc.iter_mut().for_each(|a| *a *= inv);
-    Some(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,14 +160,5 @@ mod tests {
                 dx[i]
             );
         }
-    }
-
-    #[test]
-    fn mean_pool_averages_and_rejects_empty() {
-        let a = [1.0f32, 2.0];
-        let b = [3.0f32, 6.0];
-        let m = mean_pool([a.as_slice(), b.as_slice()], 2).unwrap();
-        assert_eq!(m, vec![2.0, 4.0]);
-        assert!(mean_pool(std::iter::empty::<&[f32]>(), 2).is_none());
     }
 }

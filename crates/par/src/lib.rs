@@ -10,19 +10,18 @@
 //! This crate makes parallelism safe to adopt by construction:
 //!
 //! * **Fixed chunking** — chunk boundaries are a pure function of the input
-//!   *length* (never of the thread count or of scheduling), so the units of
-//!   work are identical whether one thread or sixteen execute them.
-//! * **Ordered assembly** — [`Pool::chunks_map_ordered`] concatenates chunk
-//!   results in chunk order regardless of completion order.
-//! * **Range dispatch** — [`Pool::ranges_map_ordered`] hands kernels the
-//!   chunk's index *range* instead of an item slice, so callers whose items
-//!   are just positions (embedding-matrix rows, candidate ids) never
-//!   materialize an `O(N)` index vector. The slice APIs are shims over it,
-//!   so both paths share one dispatch loop and one determinism argument.
-//! * **Ordered reduction** — [`Pool::reduce_ordered`] folds each chunk
-//!   sequentially and then combines the per-chunk accumulators in a fixed
-//!   pairwise tree, so an `f32` sum is bit-identical at any thread count,
-//!   including 1 (the single-threaded path runs the *same* chunked code).
+//!   (its *length* for [`Pool::map_ordered`] / [`Pool::ranges_map_ordered`],
+//!   its per-item costs for [`Pool::map_ordered_weighted`]), never of the
+//!   thread count or of scheduling, so the units of work are identical
+//!   whether one thread or sixteen execute them.
+//! * **Ordered assembly** — chunk results concatenate in chunk order
+//!   regardless of completion order. All three maps share one dispatch loop
+//!   and one determinism argument; the single-threaded path runs the *same*
+//!   chunked code.
+//! * **Caller-ordered teams** — [`Pool::with_worker_team`] keeps workers
+//!   alive across many small jobs; the caller derives the job split from
+//!   the input and reassembles results by job identity, so any float
+//!   reduction over them is a fold the caller writes in a fixed order.
 //!
 //! Workers are spawned scoped (`std::thread::scope`) per call and pull
 //! chunks from an atomic counter. A [`Pool`] value therefore carries only
@@ -44,12 +43,12 @@ use std::sync::{mpsc, OnceLock};
 /// Upper bound on the number of chunks an input is split into. Bounding the
 /// chunk count bounds per-call overhead (one channel message per chunk)
 /// while still providing enough grain for work stealing.
-pub const MAX_CHUNKS: usize = 64;
+const MAX_CHUNKS: usize = 64;
 
 /// Minimum chunk length: below this, per-chunk overhead dominates the work.
 /// Part of the chunk-boundary function, so changing it changes *which*
 /// partial sums are formed — it is a determinism-relevant constant.
-pub const MIN_CHUNK: usize = 16;
+const MIN_CHUNK: usize = 16;
 
 /// Hard cap on configurable worker threads.
 const MAX_THREADS: usize = 256;
@@ -101,12 +100,12 @@ pub fn threads() -> usize {
 /// Chunk length for an input of `len` items — a pure function of `len`
 /// only, never of the thread count. All determinism guarantees rest on
 /// this property.
-pub fn chunk_len(len: usize) -> usize {
+fn chunk_len(len: usize) -> usize {
     len.div_ceil(MAX_CHUNKS).max(MIN_CHUNK)
 }
 
 /// Number of chunks an input of `len` items splits into.
-pub fn num_chunks(len: usize) -> usize {
+fn num_chunks(len: usize) -> usize {
     if len == 0 {
         0
     } else {
@@ -139,73 +138,33 @@ impl Pool {
         self.threads
     }
 
-    /// Maps fixed chunks of `items` through `f` and concatenates the chunk
-    /// outputs in chunk order. `f` receives the chunk's start offset within
-    /// `items` plus the chunk slice, and may return any number of results
-    /// per chunk (blocked kernels typically return one result per item).
-    ///
-    /// Output is bit-identical at any worker count provided `f` itself is
-    /// deterministic, because chunk boundaries depend only on `items.len()`
-    /// and assembly order is chunk order.
-    pub fn chunks_map_ordered<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    /// Maps each item through `f`, preserving input order. Chunk
+    /// boundaries depend only on `items.len()` and assembly is in chunk
+    /// order, so output is bit-identical at any worker count provided `f`
+    /// itself is deterministic.
+    pub fn map_ordered<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
-        F: Fn(usize, &[T]) -> Vec<R> + Sync,
+        F: Fn(&T) -> R + Sync,
     {
-        self.chunks_map_ordered_with(items, chunk_len(items.len()), f)
-    }
-
-    /// [`chunks_map_ordered`](Self::chunks_map_ordered) with an explicit
-    /// chunk length. `cl` MUST be derived from `items.len()` alone (or be a
-    /// constant) — never from the thread count — or the determinism
-    /// contract breaks. Use `cl = 1` for heavy items (a full query
-    /// expansion, a training sample) where the default [`MIN_CHUNK`] grain
-    /// would serialize small inputs.
-    pub fn chunks_map_ordered_with<T, R, F>(&self, items: &[T], cl: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> Vec<R> + Sync,
-    {
-        self.ranges_map_ordered_with(items.len(), cl, |r| {
-            let start = r.start;
-            f(start, &items[r])
-        })
+        self.ranges_map_ordered(items.len(), |r| items[r].iter().map(&f).collect())
     }
 
     /// Maps fixed chunk *ranges* of a length-`len` index space through `f`
-    /// and concatenates outputs in chunk order —
-    /// [`chunks_map_ordered`](Self::chunks_map_ordered) without an item
-    /// slice, for kernels whose "items" are just positions into shared
-    /// structure (embedding-matrix rows, candidate ids). Chunk boundaries
-    /// are the same function of `len` as the slice APIs', so a caller
-    /// switching between the two forms keeps byte-identical output.
+    /// and concatenates outputs in chunk order — for kernels whose "items"
+    /// are just positions into shared structure (embedding-matrix rows,
+    /// candidate ids), so no `O(N)` index vector is materialized. `f` may
+    /// return any number of results per chunk (blocked kernels typically
+    /// return one per index). Chunk boundaries are the same function of
+    /// `len` as [`map_ordered`](Self::map_ordered)'s.
     pub fn ranges_map_ordered<R, F>(&self, len: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Range<usize>) -> Vec<R> + Sync,
     {
-        self.ranges_map_ordered_with(len, chunk_len(len), f)
-    }
-
-    /// [`ranges_map_ordered`](Self::ranges_map_ordered) with an explicit
-    /// chunk length (same contract as
-    /// [`chunks_map_ordered_with`](Self::chunks_map_ordered_with): `cl`
-    /// must be a function of `len` alone). Uniform boundaries are
-    /// materialized once and handed to [`bounds_map_ordered`]
-    /// (Self::bounds_map_ordered), the crate's single dispatch loop.
-    pub fn ranges_map_ordered_with<R, F>(&self, len: usize, cl: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> Vec<R> + Sync,
-    {
-        if len == 0 {
-            return Vec::new();
-        }
-        let cl = cl.max(1);
-        let nchunks = len.div_ceil(cl);
-        let bounds: Vec<Range<usize>> = (0..nchunks)
+        let cl = chunk_len(len);
+        let bounds: Vec<Range<usize>> = (0..num_chunks(len))
             .map(|c| (c * cl)..((c + 1) * cl).min(len))
             .collect();
         self.bounds_map_ordered(&bounds, f)
@@ -215,9 +174,9 @@ impl Pool {
     /// chunk order. `bounds` MUST be a pure function of the input (length
     /// and/or item costs — see [`weighted_boundaries`]), never of the
     /// thread count. This is the crate's single dispatch loop — every
-    /// other mapping primitive is a shim over it.
+    /// mapping primitive is a shim over it.
     // ultra-lint: hot
-    pub fn bounds_map_ordered<R, F>(&self, bounds: &[Range<usize>], f: F) -> Vec<R>
+    fn bounds_map_ordered<R, F>(&self, bounds: &[Range<usize>], f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Range<usize>) -> Vec<R> + Sync,
@@ -274,7 +233,10 @@ impl Pool {
     /// derived from per-item `cost` estimates via [`weighted_boundaries`]
     /// instead of uniform lengths. Use when item work is skewed (a training
     /// example's cost scales with bag length × negative count) so a uniform
-    /// split would leave one chunk carrying most of the work.
+    /// split would leave one chunk carrying most of the work. Unit costs
+    /// give one item per chunk for up to 64 items — the fan-out for items
+    /// heavy enough (a full query expansion) that per-chunk overhead is
+    /// irrelevant.
     ///
     /// Boundaries depend only on `items` (through `cost`), never on the
     /// worker count, so output is bit-identical at any thread count.
@@ -348,51 +310,6 @@ impl Pool {
             // and the scope joins them (re-raising any unrelayed panic).
         })
     }
-
-    /// Maps each item through `f`, preserving input order.
-    pub fn map_ordered<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.chunks_map_ordered(items, |_, chunk| chunk.iter().map(&f).collect())
-    }
-
-    /// [`map_ordered`](Self::map_ordered) at one item per chunk, for items
-    /// heavy enough (≳100µs) that per-chunk overhead is irrelevant and the
-    /// default grain would leave threads idle on short inputs.
-    pub fn map_ordered_each<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.chunks_map_ordered_with(items, 1, |_, chunk| chunk.iter().map(&f).collect())
-    }
-
-    /// Ordered reduction: each chunk is folded sequentially from a fresh
-    /// `init()`, then the per-chunk accumulators are combined in a fixed
-    /// pairwise tree — `(c0⊕c1) ⊕ (c2⊕c3) …` — whose shape depends only on
-    /// the chunk count. `f32`/`f64` sums are therefore bit-identical at any
-    /// worker count. Returns `init()` for empty input.
-    pub fn reduce_ordered<T, A, I, F, C>(&self, items: &[T], init: I, fold: F, combine: C) -> A
-    where
-        T: Sync,
-        A: Send,
-        I: Fn() -> A + Sync,
-        F: Fn(A, &T) -> A + Sync,
-        C: Fn(A, A) -> A,
-    {
-        let accs: Vec<A> = self.chunks_map_ordered(items, |_, chunk| {
-            let mut a = init();
-            for t in chunk {
-                a = fold(a, t);
-            }
-            vec![a]
-        });
-        combine_tree(accs, &combine).unwrap_or_else(init)
-    }
 }
 
 /// A panic payload captured on a worker thread, relayed to the consumer.
@@ -443,8 +360,8 @@ impl<J, R> WorkerTeam<J, R> {
 /// occur.
 ///
 /// The boundaries are a pure function of `costs` (never of the thread
-/// count), making this the cost-weighted analogue of [`chunk_len`]: work
-/// split along these ranges and reassembled in range order is bit-identical
+/// count), making this the cost-weighted analogue of the length-derived
+/// chunking of [`Pool::map_ordered`]: work split along these ranges and reassembled in range order is bit-identical
 /// at any worker count. At most `max_chunks` ranges are returned: every
 /// closed chunk carries at least the target cost, so more than
 /// `max_chunks - 1` of them cannot close before the total is exhausted.
@@ -473,63 +390,6 @@ pub fn weighted_boundaries(costs: &[u64], max_chunks: usize) -> Vec<Range<usize>
     bounds
 }
 
-/// Combines accumulators pairwise, level by level, in a fixed order.
-fn combine_tree<A>(mut level: Vec<A>, combine: &impl Fn(A, A) -> A) -> Option<A> {
-    while level.len() > 1 {
-        let mut nxt = Vec::with_capacity(level.len().div_ceil(2));
-        let mut it = level.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => nxt.push(combine(a, b)),
-                None => nxt.push(a),
-            }
-        }
-        level = nxt;
-    }
-    level.pop()
-}
-
-/// [`Pool::map_ordered`] on the globally configured pool.
-pub fn par_map_ordered<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Pool::global().map_ordered(items, f)
-}
-
-/// [`Pool::chunks_map_ordered`] on the globally configured pool.
-pub fn par_chunks_map_ordered<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> Vec<R> + Sync,
-{
-    Pool::global().chunks_map_ordered(items, f)
-}
-
-/// [`Pool::ranges_map_ordered`] on the globally configured pool.
-pub fn par_ranges_map_ordered<R, F>(len: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> Vec<R> + Sync,
-{
-    Pool::global().ranges_map_ordered(len, f)
-}
-
-/// [`Pool::reduce_ordered`] on the globally configured pool.
-pub fn par_reduce_ordered<T, A, I, F, C>(items: &[T], init: I, fold: F, combine: C) -> A
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    Pool::global().reduce_ordered(items, init, fold, combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,13 +401,6 @@ mod tests {
             assert!(Pool::new(t).map_ordered(&items, |x| x * 2).is_empty());
         }
         assert_eq!(num_chunks(0), 0);
-    }
-
-    #[test]
-    fn empty_input_reduces_to_init() {
-        let items: Vec<f32> = Vec::new();
-        let sum = Pool::new(4).reduce_ordered(&items, || 7.5f32, |a, x| a + x, |a, b| a + b);
-        assert_eq!(sum, 7.5);
     }
 
     #[test]
@@ -574,101 +427,6 @@ mod tests {
             assert!(cl >= MIN_CHUNK);
             assert_eq!(num_chunks(len), len.div_ceil(cl));
             assert!(num_chunks(len) <= MAX_CHUNKS.max(1));
-        }
-    }
-
-    #[test]
-    fn chunks_map_sees_correct_offsets_and_slices() {
-        let items: Vec<usize> = (0..777).collect();
-        let out = Pool::new(4).chunks_map_ordered(&items, |start, chunk| {
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| {
-                    assert_eq!(x, start + i, "offset/slice mismatch");
-                    x
-                })
-                .collect()
-        });
-        assert_eq!(out, items);
-    }
-
-    #[test]
-    fn f32_sum_is_bit_identical_across_thread_counts() {
-        // Values chosen to be order-sensitive under f32 addition: a naive
-        // per-thread partition would produce different bits at different
-        // thread counts.
-        let items: Vec<f32> = (0..10_000)
-            .map(|i| ((i * 2_654_435_761u64 as usize) % 1000) as f32 * 1e-3 + 1e4)
-            .collect();
-        let sums: Vec<u32> = [1usize, 2, 5, 8, 16]
-            .iter()
-            .map(|&t| {
-                Pool::new(t)
-                    .reduce_ordered(&items, || 0.0f32, |a, x| a + x, |a, b| a + b)
-                    .to_bits()
-            })
-            .collect();
-        for s in &sums {
-            assert_eq!(*s, sums[0], "sum bits differ across thread counts");
-        }
-    }
-
-    #[test]
-    fn vector_accumulators_reduce_in_fixed_order() {
-        let items: Vec<f32> = (0..5000).map(|i| (i as f32).sin()).collect();
-        let run = |t: usize| -> Vec<u32> {
-            Pool::new(t)
-                .reduce_ordered(
-                    &items,
-                    || vec![0.0f32; 4],
-                    |mut a, x| {
-                        for (i, v) in a.iter_mut().enumerate() {
-                            *v += x * (i as f32 + 1.0);
-                        }
-                        a
-                    },
-                    |mut a, b| {
-                        for (x, y) in a.iter_mut().zip(&b) {
-                            *x += y;
-                        }
-                        a
-                    },
-                )
-                .iter()
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        let base = run(1);
-        assert_eq!(run(2), base);
-        assert_eq!(run(8), base);
-    }
-
-    #[test]
-    fn per_item_chunking_matches_default_chunking() {
-        let items: Vec<u32> = (0..100).collect();
-        let expect: Vec<u32> = items.iter().map(|x| x + 1).collect();
-        for t in [1, 2, 8] {
-            assert_eq!(Pool::new(t).map_ordered_each(&items, |x| x + 1), expect);
-        }
-    }
-
-    #[test]
-    fn range_dispatch_matches_slice_dispatch_bitwise() {
-        let items: Vec<f32> = (0..5_000).map(|i| (i as f32).cos()).collect();
-        for t in [1usize, 2, 8] {
-            let pool = Pool::new(t);
-            let via_slice: Vec<u32> = pool.chunks_map_ordered(&items, |start, chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, x)| (x * (start + i) as f32).to_bits())
-                    .collect()
-            });
-            let via_range: Vec<u32> = pool.ranges_map_ordered(items.len(), |r| {
-                r.map(|i| (items[i] * i as f32).to_bits()).collect()
-            });
-            assert_eq!(via_range, via_slice, "diverged at {t} threads");
         }
     }
 
@@ -710,6 +468,7 @@ mod tests {
             vec![100, 1, 1, 1, 1, 1, 1, 100],
             vec![0, 0, 0, 0, 0, 0, 0],
             (0..1000).map(|i| (i % 17) as u64).collect(),
+            vec![1; 64],
         ];
         for costs in &cases {
             for max in [1usize, 2, 4, 64] {
@@ -724,23 +483,32 @@ mod tests {
                 assert_eq!(next, costs.len(), "items dropped in {bounds:?}");
                 // Pure function of the input: same costs, same boundaries.
                 assert_eq!(bounds, weighted_boundaries(costs, max));
+                // Unit costs up to `max` items: one item per chunk.
+                if costs.len() <= max && costs.iter().all(|&c| c == 1) {
+                    let singles: Vec<Range<usize>> = (0..costs.len()).map(|i| i..i + 1).collect();
+                    assert_eq!(bounds, singles, "unit costs must split per item");
+                }
             }
         }
     }
 
     #[test]
     fn weighted_map_matches_uniform_map_bitwise() {
-        let items: Vec<f32> = (0..3000).map(|i| (i as f32).sin() * 10.0).collect();
-        let expect: Vec<u32> = Pool::new(1)
-            .map_ordered(&items, |x| (x * 1.0001 + 3.7).to_bits())
-            .to_vec();
-        for t in [1usize, 2, 8] {
-            let got = Pool::new(t).map_ordered_weighted(
-                &items,
-                |x| (x.abs() * 100.0) as u64,
-                |x| (x * 1.0001 + 3.7).to_bits(),
-            );
-            assert_eq!(got, expect, "diverged at {t} threads");
+        // Skewed costs, and the eval harness's unit costs on a short input
+        // (one item per chunk).
+        for (len, unit) in [(3000, false), (50, true)] {
+            let items: Vec<f32> = (0..len).map(|i| (i as f32).sin() * 10.0).collect();
+            let expect: Vec<u32> = Pool::new(1)
+                .map_ordered(&items, |x| (x * 1.0001 + 3.7).to_bits())
+                .to_vec();
+            for t in [1usize, 2, 8] {
+                let got = Pool::new(t).map_ordered_weighted(
+                    &items,
+                    |x| if unit { 1 } else { (x.abs() * 100.0) as u64 },
+                    |x| (x * 1.0001 + 3.7).to_bits(),
+                );
+                assert_eq!(got, expect, "diverged at {t} threads, len {len}");
+            }
         }
     }
 
@@ -796,17 +564,5 @@ mod tests {
                 let _ = team.recv();
             },
         );
-    }
-
-    #[test]
-    fn combine_tree_order_is_fixed() {
-        // With strings, the tree shape is directly observable:
-        // ((a·b)·(c·d))·e for five leaves.
-        let leaves: Vec<String> = ["a", "b", "c", "d", "e"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let joined = combine_tree(leaves, &|a, b| format!("({a}{b})"));
-        assert_eq!(joined.as_deref(), Some("(((ab)(cd))e)"));
     }
 }

@@ -31,7 +31,9 @@ pub struct EncoderConfig {
     pub tau: f32,
     /// Contrastive learning rate.
     pub contrastive_lr: f32,
-    /// Contrastive epochs (alternated with entity prediction).
+    /// Contrastive epochs, run by
+    /// [`train_contrastive`](crate::contrastive::train_contrastive) after
+    /// entity-prediction pretraining.
     pub contrastive_epochs: usize,
     /// Knowledge prefix added to every context.
     pub augment: Augmentation,

@@ -10,8 +10,8 @@ use ultra_core::{EntityId, Sentence, TokenId};
 use ultra_data::World;
 use ultra_nn::{
     infonce_weighted_into, l2_normalize, l2_normalize_backward, l2_normalize_backward_into,
-    label_smoothed_ce, Activation, EmbeddingBag, Matrix, Mlp, MlpGrad, MlpT, Sgd, SparseGrad,
-    SparseSink, TrainWorkspace,
+    label_smoothed_ce_grad_into, Activation, EmbeddingBag, Matrix, Mlp, MlpGrad, MlpT, Sgd,
+    SparseGrad, SparseSink, TrainWorkspace,
 };
 
 /// One fully sampled contrastive training example: the anchor, positive,
@@ -71,6 +71,38 @@ pub(crate) fn merge_chunk_accumulators(chunks: &mut [TrainWorkspace], nchunks: u
     for ws in &mut rest[..nchunks - 1] {
         first[0].proj_grad.add_assign(&ws.proj_grad);
         first[0].sink.merge_from(&ws.sink);
+    }
+}
+
+/// Scratch for [`EntityEncoder::entity_prediction_step`], built once per
+/// training run so the step allocates nothing.
+struct PredictionWorkspace {
+    /// Contextual feature of the current bag.
+    h: Vec<f32>,
+    /// Candidate entity indices: gold first, then the negatives.
+    cands: Vec<usize>,
+    /// Candidate logits, overwritten in place by their gradients.
+    logits: Vec<f32>,
+    /// `dL/dh`.
+    dh: Vec<f32>,
+    /// Tanh pre-activation gradient.
+    dz: Vec<f32>,
+    /// Per-step sparse embedding gradient, cleared after each apply.
+    sink: SparseSink,
+}
+
+impl PredictionWorkspace {
+    fn new(cfg: &EncoderConfig, vocab_size: usize) -> Self {
+        let mut sink = SparseSink::new();
+        sink.ensure(vocab_size, cfg.dim);
+        Self {
+            h: vec![0.0; cfg.dim],
+            cands: vec![0; cfg.neg_samples + 1],
+            logits: vec![0.0; cfg.neg_samples + 1],
+            dh: vec![0.0; cfg.dim],
+            dz: vec![0.0; cfg.dim],
+            sink,
+        }
     }
 }
 
@@ -196,16 +228,10 @@ impl EntityEncoder {
         self.center = acc.iter().map(|a| (*a / samples as f64) as f32).collect();
     }
 
-    /// Accumulates embedding gradients for `dL/dh` through the tanh
-    /// (the additive center is a constant under the gradient).
-    fn encode_bag_backward(&mut self, tokens: &[TokenId], h: &[f32], dh: &[f32]) {
-        let dz = self.encode_bag_backward_dz(h, dh);
-        self.emb.backward(tokens, &dz);
-    }
-
-    /// Detached-buffer variant of
-    /// [`encode_bag_backward`](Self::encode_bag_backward); same math, but
-    /// `self` stays frozen so batches can run in parallel.
+    /// Accumulates embedding gradients for `dL/dh` through the tanh (the
+    /// additive center is a constant under the gradient) into a detached
+    /// buffer, leaving `self` frozen. The allocating reference for the
+    /// sink-based training paths.
     fn encode_bag_backward_into(
         &self,
         tokens: &[TokenId],
@@ -213,7 +239,8 @@ impl EntityEncoder {
         dh: &[f32],
         g: &mut SparseGrad,
     ) {
-        let dz = self.encode_bag_backward_dz(h, dh);
+        let mut dz = vec![0.0; dh.len()];
+        self.tanh_backward_into(h, dh, &mut dz);
         self.emb.backward_into(tokens, &dz, g);
     }
 
@@ -230,15 +257,15 @@ impl EntityEncoder {
         }
     }
 
-    /// The tanh pre-activation gradient shared by both backward variants.
-    fn encode_bag_backward_dz(&self, h: &[f32], dh: &[f32]) -> Vec<f32> {
-        dh.iter()
-            .zip(h.iter().zip(&self.center))
-            .map(|(&d, (&hc, &c))| {
-                let y = hc + c; // un-centered tanh output
-                d * (1.0 - y * y)
-            })
-            .collect()
+    /// The tanh pre-activation gradient `dz = dh · (1 - y²)`, where `y` is
+    /// the un-centered tanh output recovered from the centered feature `h`.
+    /// The one expression every encoder backward uses.
+    // ultra-lint: hot
+    fn tanh_backward_into(&self, h: &[f32], dh: &[f32], dz: &mut [f32]) {
+        for ((z, &d), (&hc, &c)) in dz.iter_mut().zip(dh).zip(h.iter().zip(&self.center)) {
+            let y = hc + c;
+            *z = d * (1.0 - y * y);
+        }
     }
 
     /// Projects a contextual feature into the l2-normalized contrastive
@@ -257,6 +284,21 @@ impl EntityEncoder {
     /// the paper's η analysis (Figure 7) depends on is preserved because
     /// smoothing mass is spread over the sampled negatives.
     pub fn train_entity_prediction(&mut self, world: &World) {
+        let mut ws = PredictionWorkspace::new(&self.cfg, self.emb.vocab_size());
+        self.run_entity_prediction(world, |enc, bag, gold, rng| {
+            enc.entity_prediction_step(bag, gold, rng, &mut ws)
+        });
+    }
+
+    /// The entity-prediction schedule: sample the examples, then for each
+    /// epoch shuffle them and run `step` on each example's context bag.
+    /// The RNG stream (examples, shuffles, then every step's draws) is part
+    /// of the determinism contract.
+    fn run_entity_prediction(
+        &mut self,
+        world: &World,
+        mut step: impl FnMut(&mut Self, &[TokenId], EntityId, &mut UltraRng),
+    ) {
         let mut rng = derive_rng(self.cfg.seed, stream_label("entity-prediction"));
         let examples = self.collect_examples(world, &mut rng);
         for _epoch in 0..self.cfg.epochs {
@@ -266,55 +308,63 @@ impl EntityEncoder {
                 let (sid, entity) = examples[i];
                 let sentence = world.corpus.sentence(sid);
                 let bag = self.context_bag(world, sentence, entity, &[]);
-                self.entity_prediction_step(&bag, entity, &mut rng);
+                step(self, &bag, entity, &mut rng);
             }
         }
         // Calibrate the common-mode center once representations settle.
         self.calibrate_center(world, 2000);
     }
 
-    /// One sampled-softmax SGD step. Exposed for the alternating
-    /// entity-prediction/contrastive schedule.
+    /// One sampled-softmax SGD step, sequential by contract: the candidate
+    /// draws come from the training RNG stream, and each step reads the
+    /// weights the previous one wrote. Allocates nothing: every buffer
+    /// lives in `ws`.
+    ///
+    /// Bit-identical to the allocating reference step pinned by
+    /// `tests::fast_step_matches_reference_step_bitwise` (DESIGN.md §5,
+    /// "Entity-prediction step"): the logits are lane-interleaved
+    /// per-row sums, the gradient skips only the discarded loss, and the
+    /// head update keeps candidate order.
     // ultra-lint: hot
-    pub(crate) fn entity_prediction_step(
+    fn entity_prediction_step(
         &mut self,
         bag: &[TokenId],
         gold: EntityId,
         rng: &mut UltraRng,
+        ws: &mut PredictionWorkspace,
     ) {
-        let h = self.encode_bag(bag);
-        // Sample the candidate set: gold first, then distinct negatives.
-        let mut cands: Vec<usize> = Vec::with_capacity(self.cfg.neg_samples + 1);
-        cands.push(gold.index());
-        while cands.len() <= self.cfg.neg_samples {
-            let c = rng.gen_range(0..self.num_entities);
-            if c != gold.index() {
-                // ultra-lint: allow(no-alloc-in-hot-loop) bounded by neg_samples+1 and inside the with_capacity reservation above — never reallocates
-                cands.push(c);
-            }
+        self.encode_bag_into(bag, &mut ws.h);
+        // Candidates: gold at 0, then negatives that differ from gold
+        // (they may repeat each other).
+        let g = gold.index();
+        ws.cands[0] = g;
+        for slot in &mut ws.cands[1..] {
+            *slot = loop {
+                let c = rng.gen_range(0..self.num_entities);
+                if c != g {
+                    break c;
+                }
+            };
         }
-        let logits: Vec<f32> = cands
-            .iter()
-            .map(|&c| {
-                let row = self.head.row(c);
-                row.iter().zip(&h).map(|(w, x)| w * x).sum()
-            })
-            .collect();
-        let (_loss, dlogits) = label_smoothed_ce(&logits, 0, self.cfg.eta);
-        // dh and head-row updates.
-        let mut dh = vec![0.0f32; self.cfg.dim];
+        self.head.gather_dots_into(&ws.cands, &ws.h, &mut ws.logits);
+        label_smoothed_ce_grad_into(&mut ws.logits, 0, self.cfg.eta);
+        // dh and head-row updates, in candidate order: a repeated negative
+        // must see its earlier update.
         let lr = self.cfg.lr;
         let wd = self.cfg.weight_decay;
-        for (k, &c) in cands.iter().enumerate() {
-            let d = dlogits[k];
+        ws.dh.fill(0.0);
+        for (&c, &d) in ws.cands.iter().zip(&ws.logits) {
             let row = self.head.row_mut(c);
-            for j in 0..row.len() {
-                dh[j] += d * row[j];
-                row[j] -= lr * (d * h[j] + wd * row[j]);
+            for ((dh, w), &h) in ws.dh.iter_mut().zip(row.iter_mut()).zip(&ws.h) {
+                *dh += d * *w;
+                *w -= lr * (d * h + wd * *w);
             }
         }
-        self.encode_bag_backward(bag, &h, &dh);
-        self.emb.apply_sparse_sgd(lr, wd, self.cfg.clip);
+        self.tanh_backward_into(&ws.h, &ws.dh, &mut ws.dz);
+        self.emb.backward_into_sink(bag, &ws.dz, &mut ws.sink);
+        self.emb
+            .apply_sparse_sgd_from_sink(&ws.sink, lr, wd, self.cfg.clip);
+        ws.sink.clear();
     }
 
     /// Gradients of the InfoNCE loss for one example, computed against the
@@ -486,14 +536,7 @@ impl EntityEncoder {
     /// embedding gradient into the chunk's sink.
     // ultra-lint: hot
     fn bag_grad_into_sink(&self, bag: &[TokenId], r: usize, ws: &mut TrainWorkspace) {
-        // Encoder tanh backward — the same expression (and bits) as
-        // `encode_bag_backward_dz`; `y` is the un-centered tanh output.
-        let h_row = ws.h.row(r);
-        let dx_row = ws.dx.row(r);
-        for (i, demb) in ws.row_demb.iter_mut().enumerate() {
-            let y = h_row[i] + self.center[i];
-            *demb = dx_row[i] * (1.0 - y * y);
-        }
+        self.tanh_backward_into(ws.h.row(r), ws.dx.row(r), &mut ws.row_demb);
         self.emb.backward_into_sink(bag, &ws.row_demb, &mut ws.sink);
     }
 
@@ -652,7 +695,51 @@ impl EntityEncoder {
 mod tests {
     use super::*;
     use ultra_data::WorldConfig;
-    use ultra_nn::cosine;
+    use ultra_nn::{cosine, label_smoothed_ce};
+
+    impl EntityEncoder {
+        /// The allocating entity-prediction step the fast step replaced,
+        /// kept as its oracle: `encode_bag`, one `.sum()` per candidate
+        /// logit, the loss-and-gradient `label_smoothed_ce`, indexed head
+        /// updates, and a `SparseGrad` embedding gradient.
+        fn entity_prediction_step_reference(
+            &mut self,
+            bag: &[TokenId],
+            gold: EntityId,
+            rng: &mut UltraRng,
+        ) {
+            let h = self.encode_bag(bag);
+            let mut cands: Vec<usize> = vec![gold.index()];
+            while cands.len() <= self.cfg.neg_samples {
+                let c = rng.gen_range(0..self.num_entities);
+                if c != gold.index() {
+                    cands.push(c);
+                }
+            }
+            let logits: Vec<f32> = cands
+                .iter()
+                .map(|&c| {
+                    let row = self.head.row(c);
+                    row.iter().zip(&h).map(|(w, x)| w * x).sum()
+                })
+                .collect();
+            let (_loss, dlogits) = label_smoothed_ce(&logits, 0, self.cfg.eta);
+            let mut dh = vec![0.0f32; self.cfg.dim];
+            let lr = self.cfg.lr;
+            let wd = self.cfg.weight_decay;
+            for (k, &c) in cands.iter().enumerate() {
+                let d = dlogits[k];
+                let row = self.head.row_mut(c);
+                for j in 0..row.len() {
+                    dh[j] += d * row[j];
+                    row[j] -= lr * (d * h[j] + wd * row[j]);
+                }
+            }
+            let mut g = SparseGrad::new();
+            self.encode_bag_backward_into(bag, &h, &dh, &mut g);
+            self.emb.apply_sparse_sgd_from(g, lr, wd, self.cfg.clip);
+        }
+    }
 
     fn world() -> World {
         World::generate(WorldConfig::tiny()).unwrap()
@@ -769,6 +856,43 @@ mod tests {
         };
         assert!(sim_after > sim_before, "{sim_after} > {sim_before}");
         assert!(last < 1.0, "loss should have dropped, got {last}");
+    }
+
+    /// The allocation-free step must train the exact weights of the
+    /// allocating reference, at the default-shaped config (dim 48: whole
+    /// 8-lane logit blocks, 49 candidates: one remainder logit) and at
+    /// dim 45 / 37 negatives (38 candidates: six-logit remainder). The
+    /// pinned values are the weights this config trained before the fast
+    /// step existed.
+    #[test]
+    fn fast_step_matches_reference_step_bitwise() {
+        let w = world();
+        let cases = [
+            (quick_cfg(), 0x400f_2b78_0e47_86cd_u64),
+            (
+                EncoderConfig {
+                    dim: 45,
+                    neg_samples: 37,
+                    ..quick_cfg()
+                },
+                0x2e64_add1_4cbb_60e1,
+            ),
+        ];
+        for (cfg, pinned) in cases {
+            let mut fast = EntityEncoder::new(&w, cfg.clone());
+            fast.train_entity_prediction(&w);
+            let mut reference = EntityEncoder::new(&w, cfg);
+            reference.run_entity_prediction(&w, |enc, bag, gold, rng| {
+                enc.entity_prediction_step_reference(bag, gold, rng)
+            });
+            assert_eq!(fast.params_fingerprint(), reference.params_fingerprint());
+            assert_eq!(
+                fast.params_fingerprint(),
+                pinned,
+                "{:x}",
+                fast.params_fingerprint()
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! O(vocabulary) per step.
 
 use crate::matrix::Matrix;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use ultra_core::rng::UltraRng;
 use ultra_core::TokenId;
 
@@ -170,11 +170,13 @@ impl SparseSink {
     }
 }
 
-/// Mean-pooled embedding lookup with sparse gradient accumulation.
+/// Mean-pooled embedding lookup with sparse gradients. The bag holds only
+/// its table: gradients accumulate in a caller-owned [`SparseSink`] (the
+/// training paths) or [`SparseGrad`] (their reference oracles) and are
+/// applied as a per-row SGD step.
 #[derive(Clone, Debug)]
 pub struct EmbeddingBag {
     table: Matrix,
-    sparse_grads: HashMap<u32, Vec<f32>>,
 }
 
 impl EmbeddingBag {
@@ -182,7 +184,6 @@ impl EmbeddingBag {
     pub fn new(vocab_size: usize, dim: usize, rng: &mut UltraRng) -> Self {
         Self {
             table: Matrix::xavier(vocab_size, dim, rng),
-            sparse_grads: HashMap::new(),
         }
     }
 
@@ -251,28 +252,10 @@ impl EmbeddingBag {
         }
     }
 
-    /// Accumulates the gradient of the mean pool: each participating row
-    /// receives `dy / n`.
-    pub fn backward(&mut self, tokens: &[TokenId], dy: &[f32]) {
-        if tokens.is_empty() {
-            return;
-        }
-        let inv = 1.0 / tokens.len() as f32;
-        for &t in tokens {
-            let g = self
-                .sparse_grads
-                .entry(t.0)
-                .or_insert_with(|| vec![0.0; dy.len()]);
-            for (gi, &d) in g.iter_mut().zip(dy) {
-                *gi += d * inv;
-            }
-        }
-    }
-
-    /// Non-mutating variant of [`backward`](Self::backward): accumulates
-    /// the mean-pool gradient into a detached [`SparseGrad`] buffer, so
-    /// per-sample gradients can be computed in parallel against a frozen
-    /// table. Same math (and bits) as `backward`.
+    /// Accumulates the gradient of the mean pool into a detached
+    /// [`SparseGrad`] buffer: each participating row receives `dy / n`.
+    /// The allocating reference for
+    /// [`backward_into_sink`](Self::backward_into_sink).
     pub fn backward_into(&self, tokens: &[TokenId], dy: &[f32], g: &mut SparseGrad) {
         if tokens.is_empty() {
             return;
@@ -283,29 +266,13 @@ impl EmbeddingBag {
         }
     }
 
-    /// Applies accumulated sparse gradients with plain SGD
-    /// (`w -= lr · (g + wd · w)`), clipping each row gradient to
-    /// `clip` in l2 norm, then clears the gradient buffer.
+    /// Applies a detached sparse gradient with plain SGD
+    /// (`w -= lr · (g + wd · w)`), clipping each row gradient to `clip` in
+    /// l2 norm. Rows are visited in token order.
     ///
     /// Embedding rows use a dedicated sparse step rather than the dense
     /// [`GradApply`](crate::optim::GradApply) path because dense traversal
     /// of a vocabulary-sized table per batch would dominate training time.
-    pub fn apply_sparse_sgd(&mut self, lr: f32, weight_decay: f32, clip: f32) {
-        for (row_idx, grad) in self.sparse_grads.drain() {
-            Self::sparse_row_update(
-                self.table.row_mut(row_idx as usize),
-                &grad,
-                lr,
-                weight_decay,
-                clip,
-            );
-        }
-    }
-
-    /// [`apply_sparse_sgd`](Self::apply_sparse_sgd) over a detached buffer:
-    /// identical per-row update math, consuming `g` instead of the internal
-    /// accumulator. Row updates are independent, so the two paths agree
-    /// bit-for-bit for equal row gradients.
     pub fn apply_sparse_sgd_from(&mut self, g: SparseGrad, lr: f32, weight_decay: f32, clip: f32) {
         for (row_idx, grad) in g.grads {
             Self::sparse_row_update(
@@ -347,11 +314,6 @@ impl EmbeddingBag {
             *w -= lr * (g * scale + weight_decay * *w);
         }
     }
-
-    /// Number of rows with pending gradients (test/diagnostic hook).
-    pub fn pending_rows(&self) -> usize {
-        self.sparse_grads.len()
-    }
 }
 
 #[cfg(test)]
@@ -381,25 +343,34 @@ mod tests {
         assert!(bag.forward(&[]).is_none());
     }
 
+    fn sink_for(bag: &EmbeddingBag) -> SparseSink {
+        let mut sink = SparseSink::new();
+        sink.ensure(bag.vocab_size(), bag.dim());
+        sink
+    }
+
     #[test]
     fn backward_touches_only_active_rows() {
         let mut rng = derive_rng(1, 0);
         let mut bag = EmbeddingBag::new(8, 2, &mut rng);
-        bag.backward(&[t(1), t(3)], &[1.0, -1.0]);
-        assert_eq!(bag.pending_rows(), 2);
+        let mut sink = sink_for(&bag);
+        bag.backward_into_sink(&[t(1), t(3)], &[1.0, -1.0], &mut sink);
+        assert_eq!(sink.len(), 2);
         let before = bag.row(t(5)).to_vec();
-        bag.apply_sparse_sgd(0.1, 0.0, 0.0);
+        bag.apply_sparse_sgd_from_sink(&sink, 0.1, 0.0, 0.0);
+        sink.clear();
         assert_eq!(bag.row(t(5)), before.as_slice(), "inactive row untouched");
-        assert_eq!(bag.pending_rows(), 0);
+        assert_eq!(sink.len(), 0);
     }
 
     #[test]
     fn sgd_moves_against_gradient() {
         let mut rng = derive_rng(1, 0);
         let mut bag = EmbeddingBag::new(2, 2, &mut rng);
+        let mut sink = sink_for(&bag);
         let before = bag.row(t(0)).to_vec();
-        bag.backward(&[t(0)], &[1.0, 0.0]);
-        bag.apply_sparse_sgd(0.5, 0.0, 0.0);
+        bag.backward_into_sink(&[t(0)], &[1.0, 0.0], &mut sink);
+        bag.apply_sparse_sgd_from_sink(&sink, 0.5, 0.0, 0.0);
         let after = bag.row(t(0));
         assert!((after[0] - (before[0] - 0.5)).abs() < 1e-6);
         assert!((after[1] - before[1]).abs() < 1e-6);
@@ -409,40 +380,13 @@ mod tests {
     fn clipping_bounds_row_update() {
         let mut rng = derive_rng(1, 0);
         let mut bag = EmbeddingBag::new(1, 2, &mut rng);
+        let mut sink = sink_for(&bag);
         let before = bag.row(t(0)).to_vec();
-        bag.backward(&[t(0)], &[30.0, 40.0]); // norm 50
-        bag.apply_sparse_sgd(1.0, 0.0, 5.0); // clipped to norm 5
+        bag.backward_into_sink(&[t(0)], &[30.0, 40.0], &mut sink); // norm 50
+        bag.apply_sparse_sgd_from_sink(&sink, 1.0, 0.0, 5.0); // clipped to norm 5
         let after = bag.row(t(0));
         let delta = ((after[0] - before[0]).powi(2) + (after[1] - before[1]).powi(2)).sqrt();
         assert!((delta - 5.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn detached_sparse_path_matches_internal_path_bitwise() {
-        let mut rng = derive_rng(2, 0);
-        let proto = EmbeddingBag::new(8, 3, &mut rng);
-
-        // Internal path: two backward calls, one apply.
-        let mut a = proto.clone();
-        a.backward(&[t(1), t(3)], &[0.5, -1.0, 2.0]);
-        a.backward(&[t(3), t(6)], &[1.5, 0.25, -0.75]);
-        a.apply_sparse_sgd(0.1, 1e-4, 5.0);
-
-        // Detached path: per-sample buffers merged in sample order.
-        let mut b = proto.clone();
-        let mut g1 = SparseGrad::new();
-        let mut g2 = SparseGrad::new();
-        b.backward_into(&[t(1), t(3)], &[0.5, -1.0, 2.0], &mut g1);
-        b.backward_into(&[t(3), t(6)], &[1.5, 0.25, -0.75], &mut g2);
-        g1.merge(g2);
-        assert_eq!(g1.len(), 3);
-        b.apply_sparse_sgd_from(g1, 0.1, 1e-4, 5.0);
-
-        for r in 0..8 {
-            let ra: Vec<u32> = a.row(t(r)).iter().map(|v| v.to_bits()).collect();
-            let rb: Vec<u32> = b.row(t(r)).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ra, rb, "row {r} diverged");
-        }
     }
 
     #[test]

@@ -25,7 +25,10 @@ pub mod workspace;
 
 pub use embedding::{EmbeddingBag, SparseGrad, SparseSink};
 pub use linear::{Activation, Linear, LinearGrad, Mlp, MlpGrad, MlpT};
-pub use loss::{infonce_weighted, infonce_weighted_into, label_smoothed_ce, InfoNceGrads};
+pub use loss::{
+    infonce_weighted, infonce_weighted_into, label_smoothed_ce, label_smoothed_ce_grad_into,
+    InfoNceGrads,
+};
 pub use matrix::Matrix;
 pub use ops::{
     cosine, dot, dot_unrolled, l2_normalize, l2_normalize_backward, l2_normalize_backward_into,

@@ -40,6 +40,32 @@ pub fn label_smoothed_ce(logits: &[f32], gold: usize, eta: f32) -> (f32, Vec<f32
     (loss, grad)
 }
 
+/// The gradient half of [`label_smoothed_ce`], in place: overwrites
+/// `logits` with `dlogits = softmax(logits) - target`.
+///
+/// Same max-fold / exp / sequential-sum / divide / subtract sequence as
+/// the allocating form, so the same bits; it skips the `ln` per logit
+/// that only the loss value needs, and all allocation.
+// ultra-lint: hot
+pub fn label_smoothed_ce_grad_into(logits: &mut [f32], gold: usize, eta: f32) {
+    assert!(gold < logits.len(), "gold index out of range");
+    assert!(
+        (0.0..1.0).contains(&eta),
+        "smoothing factor must be in [0,1)"
+    );
+    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for x in logits.iter_mut() {
+        *x = (*x - max).exp();
+    }
+    let sum: f32 = logits.iter().sum();
+    let c = logits.len();
+    let off = if c > 1 { eta / (c as f32 - 1.0) } else { 0.0 };
+    for (j, x) in logits.iter_mut().enumerate() {
+        let target = if j == gold { 1.0 - eta } else { off };
+        *x = *x / sum - target;
+    }
+}
+
 /// Gradients produced by one InfoNCE term.
 #[derive(Clone, Debug)]
 pub struct InfoNceGrads {
@@ -233,6 +259,26 @@ mod tests {
             assert_eq!(bits(&dp), bits(&a.d_pos));
             let flat_ref: Vec<f32> = a.d_negs.iter().flatten().copied().collect();
             assert_eq!(bits(&dn), bits(&flat_ref));
+        }
+    }
+
+    #[test]
+    fn grad_into_matches_allocating_gradient_bitwise() {
+        let wide: Vec<f32> = (0..257).map(|j| ((j as f32) * 0.61).sin() * 4.0).collect();
+        let cases: [(&[f32], usize); 4] = [
+            (&[0.3], 0),
+            (&[1.0, -0.5, 0.2], 2),
+            (&[0.0, 0.0, -0.0, 0.0], 1),
+            (&wide, 0),
+        ];
+        for (logits, gold) in cases {
+            for eta in [0.0f32, 0.075] {
+                let (_, want) = label_smoothed_ce(logits, gold, eta);
+                let mut got = logits.to_vec();
+                label_smoothed_ce_grad_into(&mut got, gold, eta);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "c={}, eta={eta}", logits.len());
+            }
         }
     }
 

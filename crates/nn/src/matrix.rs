@@ -169,6 +169,45 @@ impl Matrix {
             .collect()
     }
 
+    /// Gathered dot products: `out[k] = row(rows[k]) · x`, each summed
+    /// exactly like `row.iter().zip(x).map(|(w, x)| w * x).sum::<f32>()`.
+    /// `rows` may repeat indices.
+    ///
+    /// A single `.sum()` is one serially dependent add chain, so a run of
+    /// them is latency-bound. This kernel takes eight rows per pass with
+    /// one accumulator lane per row: each lane starts from `Sum`'s start
+    /// value (`-0.0`) and adds its products in ascending `j`, which is
+    /// the per-row `.sum()` operation sequence, interleaved across rows
+    /// for instruction-level parallelism. Rust never contracts a mul and
+    /// an add, so the wider schedule cannot change bits. The `< 8`
+    /// remainder runs the scalar form.
+    // ultra-lint: hot
+    pub fn gather_dots_into(&self, rows: &[usize], x: &[f32], out: &mut [f32]) {
+        const LANES: usize = 8;
+        let n = self.cols;
+        assert_eq!(x.len(), n, "gather_dots dimension mismatch");
+        assert_eq!(out.len(), rows.len(), "gather_dots output length mismatch");
+        let mut row_blocks = rows.chunks_exact(LANES);
+        let mut out_blocks = out.chunks_exact_mut(LANES);
+        for (rb, ob) in (&mut row_blocks).zip(&mut out_blocks) {
+            let w: [&[f32]; LANES] = std::array::from_fn(|l| &self.row(rb[l])[..n]);
+            let mut acc = [-0.0f32; LANES];
+            for (j, &xj) in x.iter().enumerate() {
+                for (a, wl) in acc.iter_mut().zip(&w) {
+                    *a += wl[j] * xj;
+                }
+            }
+            ob.copy_from_slice(&acc);
+        }
+        for (&r, o) in row_blocks
+            .remainder()
+            .iter()
+            .zip(out_blocks.into_remainder())
+        {
+            *o = self.row(r).iter().zip(x).map(|(w, x)| w * x).sum();
+        }
+    }
+
     /// Writes `selfᵀ` into `out`, reshaping `out` to `(cols × rows)` if
     /// needed (reusing its allocation when the element count matches).
     /// Small matrices only — the write pattern keeps one cache line per
@@ -307,6 +346,47 @@ mod tests {
             assert_eq!(s.to_bits(), exact.to_bits());
         }
         assert_eq!(m.score_batch(&q, 2..2).len(), 0);
+    }
+
+    /// The lane-per-row kernel must reproduce the per-row `.sum()` bits
+    /// for both lane-block and remainder paths, repeated rows, and the
+    /// all-`-0.0` input that distinguishes `Sum`'s `-0.0` start value.
+    #[test]
+    fn gather_dots_into_matches_per_row_sum_bitwise() {
+        let mut rng = derive_rng(13, 0);
+        let reference = |m: &Matrix, r: usize, x: &[f32]| -> f32 {
+            m.row(r).iter().zip(x).map(|(w, x)| w * x).sum()
+        };
+        for dim in [45usize, 96] {
+            let mut m = Matrix::xavier(300, dim, &mut rng);
+            // Row 7 is all -0.0 weights (signed-zero products).
+            m.row_mut(7).iter_mut().for_each(|w| *w = -0.0);
+            let x: Vec<f32> = (0..dim).map(|j| ((j as f32) * 0.37).sin() + 0.01).collect();
+            for count in [1usize, 7, 8, 38, 257] {
+                let mut rows: Vec<usize> = (0..count).map(|k| (k * 37 + k / 3) % 300).collect();
+                rows[count / 2] = rows[0]; // a repeated row index
+                rows[count - 1] = 7;
+                let mut out = vec![f32::NAN; count];
+                m.gather_dots_into(&rows, &x, &mut out);
+                for (k, (&r, got)) in rows.iter().zip(&out).enumerate() {
+                    let want = reference(&m, r, &x);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "dim {dim}, count {count}, k {k}"
+                    );
+                }
+            }
+            // Every product -0.0 in every lane: the sum stays -0.0.
+            let zero_x = vec![0.0f32; dim];
+            let neg_rows = [7usize; 9];
+            let mut out = vec![0.0f32; 9];
+            m.gather_dots_into(&neg_rows, &zero_x, &mut out);
+            assert!(out.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+            assert!(out
+                .iter()
+                .all(|v| v.to_bits() == reference(&m, 7, &zero_x).to_bits()));
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Appendix B trains RetExpan with weight decay 1e-2; the decay term lives
 //! here. Embedding tables take a sparse per-row step instead, with its own
-//! gradient clip (`EmbeddingBag::apply_sparse_sgd`).
+//! gradient clip
+//! ([`EmbeddingBag::apply_sparse_sgd_from_sink`](crate::EmbeddingBag::apply_sparse_sgd_from_sink)).
 
 /// Visitor trait exposing `(parameters, gradients)` pairs of a model.
 ///

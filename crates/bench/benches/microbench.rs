@@ -56,13 +56,13 @@ fn bench_bm25(c: &mut Criterion) {
 
 fn bench_beam(c: &mut Criterion) {
     let world = bench_world();
-    let mut lm = NgramLm::new(
+    let docs = world.further_pretrain_docs();
+    let lm = NgramLm::from_docs(
         5,
         ultra_lm::Smoothing::AbsoluteDiscount(0.75),
         world.vocab.len(),
+        docs.iter().map(Vec::as_slice),
     );
-    let docs = world.further_pretrain_docs();
-    lm.train(docs.iter().map(Vec::as_slice));
     let mut trie = PrefixTrie::new();
     for e in &world.entities {
         trie.insert(&world.name_tokens[e.id.index()], e.id);

@@ -138,17 +138,18 @@ impl GenExpan {
         config: GenExpanConfig,
         pool: Option<Vec<EntityId>>,
     ) -> Self {
-        let mut lm = NgramLm::new(
+        let base = world.base_lm_docs();
+        let further = if config.further_pretrain {
+            world.further_pretrain_docs()
+        } else {
+            Vec::new()
+        };
+        let lm = NgramLm::from_docs(
             config.model.order,
             config.model.smoothing,
             world.vocab.len(),
+            base.iter().chain(&further).map(Vec::as_slice),
         );
-        let base = world.base_lm_docs();
-        lm.train(base.iter().map(Vec::as_slice));
-        if config.further_pretrain {
-            let further = world.further_pretrain_docs();
-            lm.train(further.iter().map(Vec::as_slice));
-        }
         let mut trie = PrefixTrie::new();
         match &pool {
             Some(pool) => {

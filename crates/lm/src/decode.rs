@@ -184,22 +184,37 @@ mod tests {
         EntityId::new(x)
     }
 
-    /// World: entities A=[10], B=[11,12], C=[13]; lists "A , B , C" style.
-    fn setup() -> (NgramLm, PrefixTrie) {
+    /// Lists "A , B , C" style over entities A=[10], B=[11,12], C=[13].
+    fn list_docs() -> Vec<Vec<TokenId>> {
         let sep = t(1);
-        let docs: Vec<Vec<TokenId>> = vec![
+        vec![
             vec![t(10), sep, t(11), t(12), sep, t(13)],
             vec![t(13), sep, t(10), sep, t(11), t(12)],
             vec![t(10), sep, t(13), sep, t(11), t(12)],
             vec![t(11), t(12), sep, t(10), sep, t(13)],
-        ];
-        let mut lm = NgramLm::new(3, Smoothing::AbsoluteDiscount(0.75), 20);
-        lm.train(docs.iter().map(Vec::as_slice));
+        ]
+    }
+
+    fn lm_on(docs: &[Vec<TokenId>]) -> NgramLm {
+        NgramLm::from_docs(
+            3,
+            Smoothing::AbsoluteDiscount(0.75),
+            20,
+            docs.iter().map(Vec::as_slice),
+        )
+    }
+
+    fn trie() -> PrefixTrie {
         let mut trie = PrefixTrie::new();
         trie.insert(&[t(10)], e(0));
         trie.insert(&[t(11), t(12)], e(1));
         trie.insert(&[t(13)], e(2));
-        (lm, trie)
+        trie
+    }
+
+    /// World: the list LM and the trie over A, B, C.
+    fn setup() -> (NgramLm, PrefixTrie) {
+        (lm_on(&list_docs()), trie())
     }
 
     #[test]
@@ -239,12 +254,11 @@ mod tests {
 
     #[test]
     fn unconstrained_beam_can_produce_invalid_sequences() {
-        let (lm, trie) = setup();
-        // Corrupt world: train extra garbage continuations that form no
-        // valid entity name.
-        let mut lm = lm;
-        let garbage: Vec<Vec<TokenId>> = vec![vec![t(10), t(1), t(12), t(11)]; 6];
-        lm.train(garbage.iter().map(Vec::as_slice));
+        // Corrupt world: the list documents plus garbage continuations that
+        // form no valid entity name.
+        let mut docs = list_docs();
+        docs.extend(vec![vec![t(10), t(1), t(12), t(11)]; 6]);
+        let (lm, trie) = (lm_on(&docs), trie());
         let out = unconstrained_beam(&lm, &[t(10), t(1)], &trie, t(1), BeamParams::default());
         assert!(!out.is_empty());
         assert!(

@@ -8,8 +8,9 @@
 //! GenExpan needs:
 //!
 //! * next-token distributions reflecting corpus statistics ([`NgramLm`]),
-//! * *base* vs *further* pre-training as separate count updates (the
-//!   Table 3 "- Further pretrain" ablation),
+//! * *base* vs *further* pre-training as the documents counted
+//!   ([`NgramLm::from_docs`] over base documents alone or chained with
+//!   further ones — the Table 3 "- Further pretrain" ablation),
 //! * conditional scoring `P(e'|f(e))` with geometric-mean length
 //!   normalization (Eq. 7, [`NgramLm::entity_score`]),
 //! * prefix-trie-constrained beam search returning only valid candidate

@@ -1,6 +1,7 @@
 //! Interpolated back-off n-gram language model.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use ultra_core::{ByteReader, ByteWriter, TokenId, UltraError};
 
 /// Smoothing family. Stands in for the LLM *family* axis of Figure 8:
@@ -15,51 +16,194 @@ pub enum Smoothing {
     AbsoluteDiscount(f64),
 }
 
-/// Per-context continuation counts.
+/// Continuation counts of every observed length-`k` context, as flat
+/// arrays in the canonical (serialized) order: contexts lexicographic,
+/// each context's continuations by ascending token. A lookup finds the
+/// context through a small open-addressing index over `keys`, built on
+/// the first lookup (a server that never queries the LM never pays for
+/// it), then the token by binary search.
 #[derive(Clone, Debug, Default)]
-struct Ctx {
-    total: u64,
-    counts: HashMap<u32, u32>,
+struct Table {
+    /// Context length `k`.
+    k: usize,
+    /// `n·k` context tokens, context `i` at `keys[i·k..(i+1)·k]`.
+    keys: Vec<u32>,
+    /// Total continuation count per context.
+    totals: Vec<u64>,
+    /// `n+1` bounds: context `i`'s continuations are
+    /// `toks[offsets[i]..offsets[i+1]]` (and the same range of `counts`).
+    offsets: Vec<usize>,
+    /// Continuation tokens, ascending within each context.
+    toks: Vec<u32>,
+    /// Continuation counts, parallel to `toks`.
+    counts: Vec<u32>,
+    /// Linear-probing index over the contexts, at most half full: a slot
+    /// holds a context index + 1, 0 marks it empty. Its length is a power
+    /// of two bounded by `2n`, so a hostile file cannot inflate it.
+    slots: OnceLock<Vec<u32>>,
 }
 
-impl Ctx {
+impl Table {
+    fn new(k: usize) -> Self {
+        Self {
+            k,
+            offsets: vec![0],
+            ..Self::default()
+        }
+    }
+
+    /// Number of contexts.
     #[inline]
-    fn types(&self) -> usize {
-        self.counts.len()
+    fn len(&self) -> usize {
+        self.totals.len()
+    }
+
+    #[inline]
+    fn key(&self, i: usize) -> &[u32] {
+        &self.keys[i * self.k..(i + 1) * self.k]
+    }
+
+    /// Home slot of a key in an index of `cap` slots: a multiplicative
+    /// hash, reduced by its high bits.
+    fn home(key: impl Iterator<Item = u32>, cap: usize) -> usize {
+        let h = key.fold(0u64, |h, t| {
+            (h ^ u64::from(t)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        });
+        ((u128::from(h) * cap as u128) >> 64) as usize
+    }
+
+    /// Builds [`slots`](Self::slots) over the complete arrays.
+    fn build_slots(&self) -> Vec<u32> {
+        let cap = (2 * self.len()).next_power_of_two();
+        let mut slots = vec![0u32; cap];
+        for i in 0..self.len() {
+            let mut s = Self::home(self.key(i).iter().copied(), cap);
+            while slots[s] != 0 {
+                s = (s + 1) & (cap - 1);
+            }
+            // Context counts are bounded by the file or corpus size, far
+            // below `u32::MAX`.
+            slots[s] = i as u32 + 1;
+        }
+        slots
+    }
+
+    /// Index of `ctx` (of length `k`), if observed.
+    fn find(&self, ctx: &[TokenId]) -> Option<usize> {
+        let slots = self.slots.get_or_init(|| self.build_slots());
+        let cap = slots.len();
+        let mut s = Self::home(ctx.iter().map(|t| t.0), cap);
+        loop {
+            let i = (*slots.get(s)? as usize).checked_sub(1)?;
+            if self.key(i).iter().zip(ctx).all(|(a, b)| *a == b.0) {
+                return Some(i);
+            }
+            s = (s + 1) & (cap - 1);
+        }
+    }
+
+    /// Context `i`'s continuation tokens and their counts.
+    #[inline]
+    fn continuations(&self, i: usize) -> (&[u32], &[u32]) {
+        let span = self.offsets[i]..self.offsets[i + 1];
+        (&self.toks[span.clone()], &self.counts[span])
+    }
+
+    /// Count of `w` after context `i` (0 if never observed).
+    fn count(&self, i: usize, w: u32) -> u32 {
+        let (toks, counts) = self.continuations(i);
+        toks.binary_search(&w).map_or(0, |j| counts[j])
+    }
+
+    /// Closes a context: its continuations are the `toks`/`counts`
+    /// appended since the previous context was closed.
+    fn push_context(&mut self, key: &[u32], total: u64) {
+        self.keys.extend_from_slice(key);
+        self.totals.push(total);
+        self.offsets.push(self.toks.len());
+    }
+
+    /// Sorts training counts of `(k+1)`-grams (context then continuation)
+    /// into the flat form, consuming the map.
+    fn from_counts(k: usize, counts: HashMap<Box<[u32]>, u32>) -> Self {
+        let mut grams: Vec<(Box<[u32]>, u32)> = counts.into_iter().collect();
+        grams.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut table = Self::new(k);
+        let mut total = 0u64;
+        for (i, (gram, count)) in grams.iter().enumerate() {
+            let (ctx, tok) = gram.split_at(k);
+            table.toks.push(tok[0]);
+            table.counts.push(*count);
+            total += u64::from(*count);
+            if grams.get(i + 1).is_none_or(|(next, _)| next[..k] != *ctx) {
+                table.push_context(ctx, total);
+                total = 0;
+            }
+        }
+        table
     }
 }
 
 /// Interpolated back-off n-gram LM over [`TokenId`] streams.
 ///
-/// `order = n` conditions on up to `n-1` previous tokens. Training is
-/// incremental: call [`train`](Self::train) once with base documents and
-/// again with further-pre-training documents — counts accumulate, exactly
-/// like continued pre-training updates a real LM.
+/// `order = n` conditions on up to `n-1` previous tokens. The model is
+/// immutable once built: [`from_docs`](Self::from_docs) counts every
+/// training document in one pass (base and further pre-training documents
+/// chained — counts are sums, so the result equals counting them in two
+/// rounds, exactly like continued pre-training updates a real LM), and
+/// [`from_bytes`](Self::from_bytes) decodes a persisted model.
 #[derive(Clone, Debug)]
 pub struct NgramLm {
     order: usize,
     smoothing: Smoothing,
-    /// `tables[k]` maps length-`k` contexts to continuation counts
-    /// (`k = 0` is the unigram table with the empty context).
-    tables: Vec<HashMap<Box<[u32]>, Ctx>>,
+    /// `tables[k]` holds the length-`k` contexts (`k = 0` is the unigram
+    /// table with the empty context).
+    tables: Vec<Table>,
     vocab_size: usize,
 }
 
 impl NgramLm {
-    /// Creates an untrained LM.
+    /// Trains an LM on `docs` (token sequences).
     ///
     /// `vocab_size` bounds the uniform floor of the unigram distribution;
-    /// pass the interned vocabulary size.
-    pub fn new(order: usize, smoothing: Smoothing, vocab_size: usize) -> Self {
+    /// pass the interned vocabulary size. Counting goes through one
+    /// temporary map per context length; each is sorted into its flat
+    /// table and freed before the next.
+    pub fn from_docs<'a, I>(order: usize, smoothing: Smoothing, vocab_size: usize, docs: I) -> Self
+    where
+        I: IntoIterator<Item = &'a [TokenId]>,
+    {
         assert!(order >= 1, "order must be at least 1");
         assert!(vocab_size > 0, "vocabulary must be non-empty");
         if let Smoothing::AbsoluteDiscount(d) = smoothing {
             assert!((0.0..1.0).contains(&d), "discount must be in (0,1)");
         }
+        // `grams[k]` counts (k+1)-grams: a length-k context, then the token.
+        let mut grams: Vec<HashMap<Box<[u32]>, u32>> = vec![HashMap::new(); order];
+        let mut gram: Vec<u32> = Vec::with_capacity(order);
+        for doc in docs {
+            for i in 0..doc.len() {
+                for (k, counts) in grams.iter_mut().enumerate().take(i + 1) {
+                    gram.clear();
+                    gram.extend(doc[i - k..=i].iter().map(|t| t.0));
+                    match counts.get_mut(gram.as_slice()) {
+                        Some(c) => *c += 1,
+                        None => {
+                            counts.insert(gram.as_slice().into(), 1);
+                        }
+                    }
+                }
+            }
+        }
+        let tables = grams
+            .into_iter()
+            .enumerate()
+            .map(|(k, counts)| Table::from_counts(k, counts))
+            .collect();
         Self {
             order,
             smoothing,
-            tables: vec![HashMap::new(); order],
+            tables,
             vocab_size,
         }
     }
@@ -76,27 +220,9 @@ impl NgramLm {
         self.vocab_size
     }
 
-    /// Accumulates counts from documents (token sequences).
-    pub fn train<'a, I>(&mut self, docs: I)
-    where
-        I: IntoIterator<Item = &'a [TokenId]>,
-    {
-        for doc in docs {
-            for i in 0..doc.len() {
-                let w = doc[i].0;
-                for k in 0..self.order.min(i + 1) {
-                    let ctx: Box<[u32]> = doc[i - k..i].iter().map(|t| t.0).collect();
-                    let slot = self.tables[k].entry(ctx).or_default();
-                    slot.total += 1;
-                    *slot.counts.entry(w).or_insert(0) += 1;
-                }
-            }
-        }
-    }
-
     /// Total observed unigram tokens (diagnostic).
     pub fn tokens_seen(&self) -> u64 {
-        self.tables[0].get(&[][..] as &[u32]).map_or(0, |c| c.total)
+        self.tables[0].totals.first().copied().unwrap_or(0)
     }
 
     /// `P(next | context)` under interpolated back-off smoothing.
@@ -105,29 +231,25 @@ impl NgramLm {
     /// contexts back off transparently.
     pub fn prob(&self, context: &[TokenId], next: TokenId) -> f64 {
         let keep = context.len().min(self.order - 1);
-        let ctx: Vec<u32> = context[context.len() - keep..]
-            .iter()
-            .map(|t| t.0)
-            .collect();
-        self.prob_rec(&ctx, next.0)
+        self.prob_rec(&context[context.len() - keep..], next.0)
     }
 
-    fn prob_rec(&self, ctx: &[u32], w: u32) -> f64 {
+    fn prob_rec(&self, ctx: &[TokenId], w: u32) -> f64 {
+        let table = &self.tables[ctx.len()];
         if ctx.is_empty() {
             // Add-one-smoothed unigram floor.
-            let uni = self.tables[0].get(&[][..] as &[u32]);
-            let (count, total) = match uni {
-                Some(c) => (*c.counts.get(&w).unwrap_or(&0) as f64, c.total as f64),
+            let (count, total) = match table.find(ctx) {
+                Some(i) => (table.count(i, w) as f64, table.totals[i] as f64),
                 None => (0.0, 0.0),
             };
             return (count + 1.0) / (total + self.vocab_size as f64);
         }
-        match self.tables[ctx.len()].get(ctx) {
+        match table.find(ctx) {
             None => self.prob_rec(&ctx[1..], w),
-            Some(c) => {
-                let count = *c.counts.get(&w).unwrap_or(&0) as f64;
-                let total = c.total as f64;
-                let types = c.types() as f64;
+            Some(i) => {
+                let count = table.count(i, w) as f64;
+                let total = table.totals[i] as f64;
+                let types = table.continuations(i).0.len() as f64;
                 let backoff = self.prob_rec(&ctx[1..], w);
                 match self.smoothing {
                     Smoothing::WittenBell => (count + types * backoff) / (total + types),
@@ -173,10 +295,7 @@ impl NgramLm {
     /// (ties by id).
     pub fn observed_continuations(&self, context: &[TokenId], limit: usize) -> Vec<(TokenId, u32)> {
         let keep = context.len().min(self.order - 1);
-        let full: Vec<u32> = context[context.len() - keep..]
-            .iter()
-            .map(|t| t.0)
-            .collect();
+        let full = &context[context.len() - keep..];
         let mut out: Vec<(TokenId, u32)> = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for start in 0..=full.len() {
@@ -184,11 +303,13 @@ impl NgramLm {
                 break;
             }
             let ctx = &full[start..];
-            if let Some(c) = self.tables[ctx.len()].get(ctx) {
-                let mut level: Vec<(TokenId, u32)> = c
-                    .counts
+            let table = &self.tables[ctx.len()];
+            if let Some(i) = table.find(ctx) {
+                let (toks, counts) = table.continuations(i);
+                let mut level: Vec<(TokenId, u32)> = toks
                     .iter()
-                    .filter(|(&w, _)| !seen.contains(&w))
+                    .zip(counts)
+                    .filter(|(w, _)| !seen.contains(*w))
                     .map(|(&w, &n)| (TokenId::new(w), n))
                     .collect();
                 level.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -202,41 +323,33 @@ impl NgramLm {
     }
 
     /// Serializes the count tables in canonical form: for every table the
-    /// contexts are emitted in lexicographic key order and every context's
-    /// continuation counts in ascending token order, so two identically
-    /// trained models produce byte-identical output regardless of hasher
-    /// state or insertion history.
+    /// contexts in lexicographic key order and every context's continuation
+    /// counts in ascending token order — the order the tables are stored
+    /// in, so this is one linear walk.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u32(self.order as u32);
-        match self.smoothing {
-            Smoothing::WittenBell => {
-                w.u8(0);
-                w.f64(0.0);
-            }
-            Smoothing::AbsoluteDiscount(d) => {
-                w.u8(1);
-                w.f64(d);
-            }
-        }
+        let (tag, discount) = match self.smoothing {
+            Smoothing::WittenBell => (0, 0.0),
+            Smoothing::AbsoluteDiscount(d) => (1, d),
+        };
+        w.u8(tag);
+        w.f64(discount);
         w.u64(self.vocab_size as u64);
         for table in &self.tables {
             w.u64(table.len() as u64);
-            let mut keys: Vec<&[u32]> = table.keys().map(|k| k.as_ref()).collect();
-            keys.sort_unstable();
-            for key in keys {
+            for i in 0..table.len() {
+                let key = table.key(i);
                 w.u32(key.len() as u32);
                 for &tok in key {
                     w.u32(tok);
                 }
-                let ctx = &table[key];
-                w.u64(ctx.total);
-                w.u32(ctx.counts.len() as u32);
-                let mut toks: Vec<u32> = ctx.counts.keys().copied().collect();
-                toks.sort_unstable();
-                for tok in toks {
+                w.u64(table.totals[i]);
+                let (toks, counts) = table.continuations(i);
+                w.u32(toks.len() as u32);
+                for (&tok, &count) in toks.iter().zip(counts) {
                     w.u32(tok);
-                    w.u32(ctx.counts[&tok]);
+                    w.u32(count);
                 }
             }
         }
@@ -244,11 +357,13 @@ impl NgramLm {
     }
 
     /// Strict inverse of [`to_bytes`](Self::to_bytes). Validates every
-    /// invariant [`new`](Self::new) asserts (order ≥ 1, vocab > 0, discount
-    /// in `(0,1)`) *before* construction, plus canonical ordering (strictly
-    /// increasing contexts and tokens — rejecting duplicates and
-    /// reorderings), context-length/table agreement, and count/total
-    /// consistency, all as typed errors.
+    /// invariant [`from_docs`](Self::from_docs) asserts (order ≥ 1,
+    /// vocab > 0, discount in `(0,1)`) *before* construction, plus
+    /// canonical ordering (strictly increasing contexts and tokens —
+    /// rejecting duplicates and reorderings), context-length/table
+    /// agreement, in-vocabulary context and continuation tokens, and
+    /// count/total consistency, all as typed errors. The file order is the
+    /// storage order, so decoding appends straight into the flat tables.
     pub fn from_bytes(bytes: &[u8]) -> ultra_core::Result<Self> {
         let corrupt = |msg: String| UltraError::Corrupt(format!("ngram-lm: {msg}"));
         let mut r = ByteReader::new(bytes, "ngram-lm");
@@ -266,36 +381,42 @@ impl NgramLm {
         if vocab_size == 0 || vocab_size > u32::MAX as u64 {
             return Err(corrupt(format!("vocab size {vocab_size} out of range")));
         }
-        let mut tables: Vec<HashMap<Box<[u32]>, Ctx>> = Vec::with_capacity(order);
+        let mut tables: Vec<Table> = Vec::with_capacity(order);
         for k in 0..order {
             let declared = r.u64()?;
             // A context entry is at least key-len + total + count-len bytes.
             let n = r.check_count(declared, 16, "contexts")?;
-            let mut table: HashMap<Box<[u32]>, Ctx> = HashMap::with_capacity(n);
-            let mut prev_key: Option<Box<[u32]>> = None;
-            for _ in 0..n {
+            let mut table = Table::new(k);
+            table.keys.reserve(n * k);
+            table.totals.reserve(n);
+            table.offsets.reserve(n);
+            let mut key: Vec<u32> = Vec::with_capacity(k);
+            for i in 0..n {
                 let key_len = r.u32()? as usize;
                 if key_len != k {
                     return Err(corrupt(format!(
                         "table {k} context has key length {key_len}"
                     )));
                 }
-                let mut key = Vec::with_capacity(key_len);
+                key.clear();
                 for _ in 0..key_len {
                     key.push(r.u32()?);
                 }
-                let key: Box<[u32]> = key.into_boxed_slice();
-                if let Some(prev) = &prev_key {
-                    if *prev >= key {
-                        return Err(corrupt(format!(
-                            "table {k} contexts not strictly increasing"
-                        )));
-                    }
+                if i > 0 && table.key(i - 1) >= key.as_slice() {
+                    return Err(corrupt(format!(
+                        "table {k} contexts not strictly increasing"
+                    )));
+                }
+                if let Some(tok) = key.iter().find(|&&t| u64::from(t) >= vocab_size) {
+                    return Err(corrupt(format!(
+                        "table {k} context token {tok} outside vocabulary"
+                    )));
                 }
                 let total = r.u64()?;
                 let declared_types = u64::from(r.u32()?);
                 let type_count = r.check_count(declared_types, 8, "continuations")?;
-                let mut counts: HashMap<u32, u32> = HashMap::with_capacity(type_count);
+                table.toks.reserve(type_count);
+                table.counts.reserve(type_count);
                 let mut sum = 0u64;
                 let mut prev_tok: Option<u32> = None;
                 for _ in 0..type_count {
@@ -314,15 +435,15 @@ impl NgramLm {
                         return Err(corrupt("zero continuation count".into()));
                     }
                     sum += u64::from(count);
-                    counts.insert(tok, count);
+                    table.toks.push(tok);
+                    table.counts.push(count);
                 }
                 if sum != total {
                     return Err(corrupt(format!(
                         "context total {total} disagrees with summed counts {sum}"
                     )));
                 }
-                prev_key = Some(key.clone());
-                table.insert(key, Ctx { total, counts });
+                table.push_context(&key, total);
             }
             tables.push(table);
         }
@@ -337,6 +458,9 @@ impl NgramLm {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -344,16 +468,17 @@ mod tests {
         TokenId::new(x)
     }
 
-    fn toy_lm(smoothing: Smoothing) -> NgramLm {
+    fn toy_docs() -> Vec<Vec<TokenId>> {
         // Corpus: "1 2 3", "1 2 4", "1 2 3" over vocab of 8.
-        let docs: Vec<Vec<TokenId>> = vec![
+        vec![
             vec![t(1), t(2), t(3)],
             vec![t(1), t(2), t(4)],
             vec![t(1), t(2), t(3)],
-        ];
-        let mut lm = NgramLm::new(3, smoothing, 8);
-        lm.train(docs.iter().map(Vec::as_slice));
-        lm
+        ]
+    }
+
+    fn toy_lm(smoothing: Smoothing) -> NgramLm {
+        NgramLm::from_docs(3, smoothing, 8, toy_docs().iter().map(Vec::as_slice))
     }
 
     #[test]
@@ -388,10 +513,15 @@ mod tests {
 
     #[test]
     fn incremental_training_shifts_the_distribution() {
-        let mut lm = toy_lm(Smoothing::WittenBell);
-        let before = lm.prob(&[t(1), t(2)], t(4));
+        let base = toy_docs();
+        let before = toy_lm(Smoothing::WittenBell).prob(&[t(1), t(2)], t(4));
         let extra: Vec<Vec<TokenId>> = vec![vec![t(1), t(2), t(4)]; 5];
-        lm.train(extra.iter().map(Vec::as_slice));
+        let lm = NgramLm::from_docs(
+            3,
+            Smoothing::WittenBell,
+            8,
+            base.iter().chain(&extra).map(Vec::as_slice),
+        );
         let after = lm.prob(&[t(1), t(2)], t(4));
         assert!(after > before, "continued pretraining boosts new evidence");
     }
@@ -433,7 +563,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "order must be")]
     fn zero_order_is_rejected() {
-        NgramLm::new(0, Smoothing::WittenBell, 10);
+        NgramLm::from_docs(0, Smoothing::WittenBell, 10, std::iter::empty());
     }
 
     #[test]
@@ -454,6 +584,34 @@ mod tests {
             }
             assert_eq!(back.tokens_seen(), lm.tokens_seen());
         }
+    }
+
+    /// An order-2 Witten-Bell payload over vocabulary 4 whose one bigram
+    /// context is `[ctx_tok]`; everything else is valid.
+    fn bigram_payload(ctx_tok: u32) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u32(2);
+        w.u8(0);
+        w.f64(0.0);
+        w.u64(4);
+        // Unigram table: the empty context, tokens 1 and 2 once each.
+        w.u64(1);
+        w.u32(0);
+        w.u64(2);
+        w.u32(2);
+        for tok in [1, 2] {
+            w.u32(tok);
+            w.u32(1);
+        }
+        // Bigram table: `[ctx_tok]` followed by token 2.
+        w.u64(1);
+        w.u32(1);
+        w.u32(ctx_tok);
+        w.u64(1);
+        w.u32(1);
+        w.u32(2);
+        w.u32(1);
+        w.finish()
     }
 
     #[test]
@@ -477,5 +635,89 @@ mod tests {
         let mut bad_discount = toy_lm(Smoothing::AbsoluteDiscount(0.75)).to_bytes();
         bad_discount[5..13].copy_from_slice(&1.5f64.to_bits().to_le_bytes());
         assert!(NgramLm::from_bytes(&bad_discount).is_err());
+        // A context token outside the vocabulary, in an otherwise valid
+        // payload (the in-vocabulary variant decodes).
+        assert!(NgramLm::from_bytes(&bigram_payload(1)).is_ok());
+        match NgramLm::from_bytes(&bigram_payload(4)) {
+            Err(UltraError::Corrupt(msg)) => {
+                assert!(msg.contains("context token 4 outside vocabulary"), "{msg}")
+            }
+            other => panic!("expected a Corrupt error, got {other:?}"),
+        }
+    }
+
+    mod oracle {
+        use super::super::reference::HashLm;
+        use super::*;
+        use proptest::prelude::*;
+
+        fn tokens(raw: &[Vec<u32>]) -> Vec<Vec<TokenId>> {
+            raw.iter()
+                .map(|d| d.iter().map(|&x| t(x)).collect())
+                .collect()
+        }
+
+        proptest! {
+            /// The flat tables agree with the hash-map LM they replaced:
+            /// same bytes, same bits on every query. The reference trains in
+            /// two rounds (base, then further pre-training), the flat LM on
+            /// the chained documents in one.
+            #[test]
+            fn flat_tables_match_the_hash_map_reference(
+                base in prop::collection::vec(prop::collection::vec(0u32..10, 0..14), 0..8),
+                extra in prop::collection::vec(prop::collection::vec(0u32..10, 0..14), 0..5),
+                order in 1usize..6,
+                discounted in 0u32..2,
+                discount in 0.05f64..0.95,
+                queries in prop::collection::vec(prop::collection::vec(0u32..12, 0..6), 1..8),
+            ) {
+                let smoothing = if discounted == 1 {
+                    Smoothing::AbsoluteDiscount(discount)
+                } else {
+                    Smoothing::WittenBell
+                };
+                let (base, extra) = (tokens(&base), tokens(&extra));
+                let vocab = 12;
+                let mut reference = HashLm::new(order, smoothing, vocab);
+                reference.train(base.iter().map(Vec::as_slice));
+                reference.train(extra.iter().map(Vec::as_slice));
+                let flat = NgramLm::from_docs(
+                    order,
+                    smoothing,
+                    vocab,
+                    base.iter().chain(&extra).map(Vec::as_slice),
+                );
+                let bytes = flat.to_bytes();
+                prop_assert_eq!(&bytes, &reference.to_bytes());
+                let decoded = NgramLm::from_bytes(&bytes).expect("canonical bytes decode");
+                prop_assert_eq!(decoded.tokens_seen(), reference.tokens_seen());
+                for lm in [&flat, &decoded] {
+                    prop_assert_eq!(lm.tokens_seen(), reference.tokens_seen());
+                    for q in tokens(&queries) {
+                        for w in 0..vocab as u32 {
+                            prop_assert_eq!(
+                                lm.prob(&q, t(w)).to_bits(),
+                                reference.prob(&q, t(w)).to_bits()
+                            );
+                        }
+                        let (ctx, seq) = q.split_at(q.len() / 2);
+                        prop_assert_eq!(
+                            lm.logprob_seq(ctx, seq).to_bits(),
+                            reference.logprob_seq(ctx, seq).to_bits()
+                        );
+                        prop_assert_eq!(
+                            lm.entity_score(ctx, seq).to_bits(),
+                            reference.entity_score(ctx, seq).to_bits()
+                        );
+                        for limit in [1, 3, 40] {
+                            prop_assert_eq!(
+                                lm.observed_continuations(&q, limit),
+                                reference.observed_continuations(&q, limit)
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -286,8 +286,7 @@ impl ExpansionEngine {
     /// wall-clock load time.
     pub fn from_snapshot_bytes(bytes: &[u8], runtime: SnapshotRuntime) -> Result<Self, ServeError> {
         let sw = crate::metrics::Stopwatch::start();
-        let fingerprint = ultra_snap::file_fingerprint(bytes);
-        let snapshot = Snapshot::from_bytes(bytes)?;
+        let (snapshot, fingerprint) = Snapshot::from_bytes_with_fingerprint(bytes)?;
         let mut engine = Self::from_snapshot(snapshot, runtime)?;
         engine.index.snapshot_fingerprint = Some(format!("{fingerprint:016x}"));
         engine.index.snapshot_load_micros = Some(sw.elapsed_micros());

@@ -81,16 +81,38 @@ fn tag_name(tag: [u8; 4]) -> String {
 /// FNV-1a over a byte slice — the container's fingerprint function
 /// (deterministic across platforms, no dependencies).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a continued over `bytes` from state `h`. FNV-1a is a left fold, so
+/// `fnv1a(a ++ b) == fnv1a_from(fnv1a(a), b)`.
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
+/// [`fnv1a_from`]`(h, bytes)` and [`fnv1a`]`(bytes)` in one pass: the two
+/// multiply chains are independent, so this costs about one.
+fn fnv1a_from_and_fresh(mut h: u64, bytes: &[u8]) -> (u64, u64) {
+    let mut fresh = FNV_OFFSET;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+        fresh ^= u64::from(b);
+        fresh = fresh.wrapping_mul(FNV_PRIME);
+    }
+    (h, fresh)
+}
+
 /// Whole-file fingerprint of a snapshot (covers the trailer too); this is
-/// the value surfaced in startup logs and `GET /metrics`.
+/// the value surfaced in startup logs and `GET /metrics`. A loader gets it
+/// for free from [`Snapshot::from_bytes_with_fingerprint`].
 pub fn file_fingerprint(bytes: &[u8]) -> u64 {
     fnv1a(bytes)
 }
@@ -413,9 +435,23 @@ impl Snapshot {
     /// end-of-file, whole-file checksum — and only then payload decoding
     /// and cross-section consistency checks.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapError> {
+        Self::from_bytes_with_fingerprint(bytes).map(|(snapshot, _)| snapshot)
+    }
+
+    /// [`from_bytes`](Self::from_bytes), also returning
+    /// [`file_fingerprint`]`(bytes)` without a further pass over the file:
+    /// once the trailer is verified to equal `fnv1a(body)`, the whole-file
+    /// fingerprint is the fold of the 8 trailer bytes starting from the
+    /// trailer value.
+    pub fn from_bytes_with_fingerprint(bytes: &[u8]) -> Result<(Snapshot, u64), SnapError> {
         let spans = scan_structure(bytes)?;
         let mut prev_rank: Option<usize> = None;
         let mut payloads: [Option<&[u8]>; 6] = [None; 6];
+        // The structure tiles the body (header, then sections back to
+        // back), so the body's fingerprint is folded in section by
+        // section, in the same pass that fingerprints each payload.
+        let header = bytes.get(..FILE_HEADER_LEN).ok_or(SnapError::Truncated)?;
+        let mut body_hash = fnv1a(header);
         for span in &spans {
             let Some(rank) = tag_rank(span.tag) else {
                 return Err(SnapError::UnknownSection(tag_name(span.tag)));
@@ -428,23 +464,29 @@ impl Snapshot {
                 _ => {}
             }
             prev_rank = Some(rank);
+            let section_header = bytes
+                .get(span.start..span.payload_start)
+                .ok_or(SnapError::Truncated)?;
             let payload = bytes
                 .get(span.payload_start..span.payload_end)
                 .ok_or(SnapError::Truncated)?;
             let stored = read_u64_at(bytes, span.payload_end).ok_or(SnapError::Truncated)?;
-            if fnv1a(payload) != stored {
+            let (with_payload, payload_hash) =
+                fnv1a_from_and_fresh(fnv1a_from(body_hash, section_header), payload);
+            if payload_hash != stored {
                 return Err(SnapError::SectionChecksum(tag_name(span.tag)));
             }
+            body_hash = fnv1a_from(with_payload, &stored.to_le_bytes());
             if let Some(slot) = payloads.get_mut(rank) {
                 *slot = Some(payload);
             }
         }
         let trailer_at = bytes.len() - CHECKSUM_LEN;
         let trailer = read_u64_at(bytes, trailer_at).ok_or(SnapError::Truncated)?;
-        let body = bytes.get(..trailer_at).ok_or(SnapError::Truncated)?;
-        if fnv1a(body) != trailer {
+        if body_hash != trailer {
             return Err(SnapError::FileChecksum);
         }
+        let fingerprint = fnv1a_from(trailer, &trailer.to_le_bytes());
 
         let require = |rank: usize| -> Result<&[u8], SnapError> {
             payloads
@@ -481,7 +523,7 @@ impl Snapshot {
             ivf,
         };
         snapshot.cross_check()?;
-        Ok(snapshot)
+        Ok((snapshot, fingerprint))
     }
 
     /// Cross-section consistency: presence flags match actual sections and
@@ -710,8 +752,8 @@ mod tests {
             ultra_text::Bm25Params::default(),
         );
         let (lm, trie) = if genexpan {
-            let mut lm = NgramLm::new(2, Smoothing::WittenBell, 8);
-            lm.train(docs.iter().map(Vec::as_slice));
+            let lm =
+                NgramLm::from_docs(2, Smoothing::WittenBell, 8, docs.iter().map(Vec::as_slice));
             let mut trie = PrefixTrie::new();
             for i in 0..4u32 {
                 trie.insert(&[TokenId::new(i + 1)], ultra_core::EntityId::new(i));
@@ -753,6 +795,16 @@ mod tests {
             assert_eq!(back.meta.profile, "tiny");
             assert_eq!(back.meta.genexpan_enabled, genexpan);
             assert_eq!(back.lm.is_some(), genexpan);
+        }
+    }
+
+    #[test]
+    fn derived_fingerprint_equals_the_whole_file_pass() {
+        for genexpan in [false, true] {
+            let bytes = fixture(genexpan).to_bytes();
+            let (_, fingerprint) =
+                Snapshot::from_bytes_with_fingerprint(&bytes).expect("round trip");
+            assert_eq!(fingerprint, file_fingerprint(&bytes), "genexpan={genexpan}");
         }
     }
 

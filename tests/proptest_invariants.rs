@@ -119,12 +119,11 @@ proptest! {
         discount in 0.1f64..0.9,
     ) {
         for smoothing in [Smoothing::WittenBell, Smoothing::AbsoluteDiscount(discount)] {
-            let mut lm = NgramLm::new(order, smoothing, 12);
             let docs_t: Vec<Vec<TokenId>> = docs
                 .iter()
                 .map(|d| d.iter().map(|&t| TokenId::new(t)).collect())
                 .collect();
-            lm.train(docs_t.iter().map(Vec::as_slice));
+            let lm = NgramLm::from_docs(order, smoothing, 12, docs_t.iter().map(Vec::as_slice));
             let ctx_t: Vec<TokenId> = ctx.iter().map(|&t| TokenId::new(t)).collect();
             let sum: f64 = (0..12).map(|w| lm.prob(&ctx_t, TokenId::new(w))).sum();
             prop_assert!((sum - 1.0).abs() < 1e-6, "{smoothing:?}: sums to {sum}");

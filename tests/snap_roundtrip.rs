@@ -8,7 +8,15 @@
 //! it, the thread count that loads it, or the wall clock.
 
 use ultra_serve::{EngineConfig, ExpansionEngine, Method, SnapshotRuntime};
+use ultrawiki::lm::NgramLm;
 use ultrawiki::prelude::*;
+use ultrawiki::snap::{file_fingerprint, fnv1a, section_spans};
+
+/// FNV-1a of the `NGLM` payload in the tiny profile's GenExpan snapshot
+/// (default seed and GenExpan config; the LM does not depend on the
+/// encoder config). Any change to LM training or to its codec that moves
+/// a single byte of the persisted model fails against this pin.
+const TINY_NGLM_FNV: u64 = 0x000c_f5ee_afd0_c922;
 
 /// A cheap encoder so the matrix stays fast; cheapness is irrelevant to the
 /// contract (every byte surface is exercised regardless of model size).
@@ -58,6 +66,26 @@ fn assert_identical_answers(trained: &ExpansionEngine, loaded: &ExpansionEngine)
     }
 }
 
+/// The `NGLM` payload of a snapshot with GenExpan enabled.
+fn nglm_payload(bytes: &[u8]) -> &[u8] {
+    let spans = section_spans(bytes).expect("structurally valid snapshot");
+    let nglm = spans
+        .iter()
+        .find(|s| &s.tag == b"NGLM")
+        .expect("GenExpan snapshots carry an NGLM section");
+    &bytes[nglm.payload_start..nglm.payload_end]
+}
+
+/// The loader reports the whole-file fingerprint it derived from the
+/// verified trailer; it must equal a full pass over the file.
+fn assert_derived_fingerprint(loaded: &ExpansionEngine, bytes: &[u8]) {
+    assert_eq!(
+        loaded.index_info().snapshot_fingerprint,
+        Some(format!("{:016x}", file_fingerprint(bytes))),
+        "derived fingerprint differs from the whole-file pass"
+    );
+}
+
 #[test]
 fn tiny_profile_roundtrips_across_thread_counts() {
     // Snapshot bytes must not depend on the training thread count…
@@ -80,6 +108,7 @@ fn tiny_profile_roundtrips_across_thread_counts() {
             },
         )
         .expect("snapshot loads");
+        assert_derived_fingerprint(&loaded, &bytes_1);
         assert_identical_answers(&trained, &loaded);
     }
 }
@@ -95,9 +124,15 @@ fn tiny_profile_roundtrips_with_genexpan_enabled() {
         .to_bytes();
     assert_eq!(bytes, rebuilt, "two builds must produce identical files");
 
+    let nglm = nglm_payload(&bytes);
+    assert_eq!(fnv1a(nglm), TINY_NGLM_FNV, "the persisted LM's bytes moved");
+    let lm = NgramLm::from_bytes(nglm).expect("NGLM decodes");
+    assert_eq!(lm.to_bytes(), nglm, "NGLM re-encodes to the same bytes");
+
     let loaded = ExpansionEngine::from_snapshot_bytes(&bytes, SnapshotRuntime::default())
         .expect("snapshot loads");
     assert_eq!(loaded.methods(), trained.methods());
+    assert_derived_fingerprint(&loaded, &bytes);
     assert_identical_answers(&trained, &loaded);
 }
 
@@ -116,6 +151,22 @@ fn small_profile_roundtrips_and_is_reproducible() {
 
     let loaded = ExpansionEngine::from_snapshot_bytes(&bytes, SnapshotRuntime::default())
         .expect("snapshot loads");
-    assert!(loaded.index_info().snapshot_fingerprint.is_some());
+    assert_derived_fingerprint(&loaded, &bytes);
     assert_identical_answers(&trained, &loaded);
+}
+
+#[test]
+fn small_genexpan_snapshot_loads_with_the_derived_fingerprint() {
+    let bytes = ExpansionEngine::build(engine_config("small", 0, true))
+        .expect("builds")
+        .to_snapshot()
+        .expect("snapshot")
+        .to_bytes();
+    let nglm = nglm_payload(&bytes);
+    let lm = NgramLm::from_bytes(nglm).expect("NGLM decodes");
+    assert_eq!(lm.to_bytes(), nglm, "NGLM re-encodes to the same bytes");
+    let loaded = ExpansionEngine::from_snapshot_bytes(&bytes, SnapshotRuntime::default())
+        .expect("snapshot loads");
+    assert_eq!(loaded.methods(), vec!["retexpan", "genexpan"]);
+    assert_derived_fingerprint(&loaded, &bytes);
 }
